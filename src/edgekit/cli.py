@@ -78,11 +78,13 @@ def cmd_density(args) -> int:
     curve = density(spec, grid, eta0=args.eta0)
     out = _outdir(args)
     curve.to_csv(out / "density.csv")
-    bad = int(np.sum(np.isnan(curve.rho)))
-    if bad:
-        sys.stderr.write(f"{bad} grid points failed to converge (NaN sentinel in CSV)\n")
+    failed = curve.E[np.isnan(curve.rho)]
+    if failed.size:
+        shown = ", ".join(repr(float(e)) for e in failed[:5])
+        sys.stderr.write(f"{failed.size} grid points failed to converge (NaN sentinel in CSV), "
+                         f"first at E = {shown}{', ...' if failed.size > 5 else ''}\n")
     _write_manifest(out, "density", _manifest_params(args), None)
-    print(f"density: {args.points} points, mass={curve.mass():.6f}, failures={bad}")
+    print(f"density: {args.points} points, mass={curve.mass():.6f}, failures={failed.size}")
     return EXIT_OK
 
 

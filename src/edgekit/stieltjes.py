@@ -5,8 +5,15 @@ m(z) is the unique upper-half-plane solution of
     m = 1 / ( -z + d^{-1} (1/M) sum_j sigma_j / (sigma_j m + 1) ),
 
 and the density is recovered as rho(E) = pi^{-1} Im m(E + i eta0) for small
-eta0.  The damped fixed-point map preserves Im m > 0 exactly, so the Herglotz
-branch is kept by construction.
+eta0.  The solver works with u = 1/m, for which the equation has the explicit
+inverse form of Silverstein & Choi (1995),
+
+    f(u) = -u + (u/d) (1/M) sum_j sigma_j / (sigma_j + u) - z = 0,
+
+and follows the root by Newton continuation in z (as in Dobriban's SPECTRODE):
+from Im z = 1 down a geometric ladder to each point's target Im z.  Steps are
+kept in Im u <= 0, i.e. Im m >= 0; f has exactly one root there when Im z > 0,
+so the Herglotz branch is the only one Newton can reach.
 """
 
 from __future__ import annotations
@@ -20,9 +27,8 @@ from .errors import ConvergenceError, DomainRejectionError
 from .population import EdgeParams, PopulationSpectrum
 
 DEFAULT_TOL = 1e-12
-MAX_ITER = 20_000
-_DAMPING_FLOOR = 1.0 / 64.0
-_SINGULAR_EPS = 1e-14
+_NEWTON_STEPS = 100  # per eta rung
+_HALVINGS = 40       # step halvings per Newton step
 
 
 @dataclass(frozen=True)
@@ -48,146 +54,91 @@ class DensityCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def _rhs(spec: PopulationSpectrum, z: np.ndarray, m: np.ndarray):
-    """Fixed-point right side plus a mask of points with a near-singular denominator."""
-    vals = spec._values[:, None]
-    wts = spec._weights[:, None]
-    denom = vals * m[None, :] + 1.0
-    singular = np.min(np.abs(denom), axis=0) < _SINGULAR_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integral = np.sum(wts * vals / denom, axis=0)
-        rhs = 1.0 / (-z + integral / spec.d)
-    return rhs, singular
+def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float):
+    """Newton's method on f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z.
 
-
-def _damped_sweep(spec: PopulationSpectrum, z: np.ndarray, m: np.ndarray, tol: float,
-                  max_iter: int):
-    """Damped fixed-point loop from a given start.
-
-    Damping lambda starts at 1, halves whenever a point's residual increases,
-    floor 1/64.  A near-singular denominator sigma*m+1 skips the update for
-    that point and halves its damping (stronger-damping retry).  Residuals are
-    normalized by max(1, |m|): absolute in the O(1) regime, relative where |m|
-    blows up (hard edge), where an absolute criterion would sit below machine
-    precision.
+    u = 1/m, so f(u) = 0 is the self-consistent equation; unlike the equation in
+    m it stays regular at the d > 1 pole m ~ -(1 - 1/d)/z near E = 0, where
+    u -> 0.  A step is halved while it would leave the closed lower half-plane
+    (Im u <= 0, i.e. Im m >= 0) or grow the residual |m - RHS(m)| / max(1, |m|),
+    which is also the convergence test.  Only unconverged points are
+    evaluated.  Returns (u, residual, Newton steps per point).
     """
-    m = m.copy()
-    lam = np.ones(z.shape, dtype=float)
-    res = np.full(z.shape, np.inf)
-    iters = np.zeros(z.shape, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
+    sigma = spec._values[:, None]
+    w_sigma = spec._weights * spec._values
+    w_sigma2 = w_sigma * spec._values
+
+    def evaluate(uu, zz):
+        # one M x n reciprocal array per evaluation, squared in place for f'
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = 1.0 / (sigma + uu[None, :])
+            s1 = w_sigma @ inv
+            inv *= inv
+            s2 = w_sigma2 @ inv
+            f = uu * (s1 / spec.d - 1.0) - zz
+            m = 1.0 / uu
+            res = np.abs(m - 1.0 / (uu + f)) / np.maximum(1.0, np.abs(m))
+        return f, s2 / spec.d - 1.0, np.where(np.isfinite(res), res, np.inf)
+
+    u = u.copy()
+    f, fp, res = evaluate(u, z)
+    steps = np.zeros(z.shape, dtype=int)
+    active = np.flatnonzero(res > tol)
+    for _ in range(_NEWTON_STEPS):
+        if active.size == 0:
             break
-        za, ma = z[active], m[active]
-        rhs, singular = _rhs(spec, za, ma)
-        new_res = np.abs(rhs - ma) / np.maximum(1.0, np.abs(ma))
-        lam_a = lam[active]
-        worse = (new_res > res[active]) | singular
-        lam_a[worse] = np.maximum(lam_a[worse] / 2.0, _DAMPING_FLOOR)
-        # singular points: no damped step, just a tiny upward nudge so the
-        # denominator sigma*m+1 leaves the 1e-14 neighbourhood of 0
-        m_new = np.where(singular, ma + 1e-13j, (1.0 - lam_a) * ma + lam_a * rhs)
-        new_res = np.where(singular, res[active], new_res)
-        m[active] = m_new
-        lam[active] = lam_a
-        res[active] = new_res
-        iters[active] += 1
-        act = np.zeros(z.shape, dtype=bool)
-        act[active] = new_res > tol
-        active = act
-    return m, res, iters
-
-
-def _newton_polish(spec: PopulationSpectrum, z: np.ndarray, m: np.ndarray, tol: float,
-                   max_iter: int = 100):
-    """Newton finish on g(m) = m - RHS(m) from a near-root start.
-
-    The fixed-point map is neutral in the bulk (|RHS'| = 1 - O(eta)), so plain
-    iteration needs O(1/eta) passes; Newton converges quadratically from the
-    ladder's output.  Steps are halved while they would leave the closed upper
-    half-plane or grow the residual.
-    """
-    vals = spec._values[:, None]
-    wts = spec._weights[:, None]
-    m = m.copy()
-
-    def g_and_slope(mm):
-        denom = vals * mm[None, :] + 1.0
+        ua, za, ra = u[active], z[active], res[active]
         with np.errstate(divide="ignore", invalid="ignore"):
-            S = np.sum(wts * vals / denom, axis=0)
-            Sp = -np.sum(wts * vals ** 2 / denom ** 2, axis=0)
-            rhs = 1.0 / (-z + S / spec.d)
-        return mm - rhs, 1.0 + (Sp / spec.d) * rhs ** 2
-
-    g, gp = g_and_slope(m)
-    res = np.abs(g) / np.maximum(1.0, np.abs(m))
-    iters = np.zeros(z.shape, dtype=int)
-    for _ in range(max_iter):
-        active = res > tol
-        if not active.any():
-            break
-        step = np.where(active, g / np.where(gp == 0, 1.0, gp), 0.0)
-        trial = m - step
-        for _ in range(40):
-            g_t, gp_t = g_and_slope(trial)
-            res_t = np.abs(g_t) / np.maximum(1.0, np.abs(trial))
-            bad = active & ((trial.imag < 0.0) | (res_t > res) | ~np.isfinite(res_t))
-            if not bad.any():
+            step = f[active] / fp[active]
+        trial = ua - step
+        ft, fpt, rt = np.empty_like(ua), np.empty_like(ua), np.empty_like(ra)
+        todo = np.arange(active.size)
+        for _ in range(_HALVINGS):
+            ft[todo], fpt[todo], rt[todo] = evaluate(trial[todo], za[todo])
+            bad = (trial[todo].imag > 0.0) | ~(rt[todo] <= ra[todo])
+            todo = todo[bad]
+            if todo.size == 0:
                 break
-            step = np.where(bad, step / 2.0, step)
-            trial = np.where(bad, m - step, trial)
-        take = active & (trial.imag >= 0.0) & np.isfinite(res_t) & (res_t <= res)
-        m = np.where(take, trial, m)
-        g = np.where(take, g_t, g)
-        gp = np.where(take, gp_t, gp)
-        new_res = np.where(take, res_t, res)
-        stalled = active & ~take
-        iters += active.astype(int)
-        res = new_res
-        if stalled.any() and not take.any():
-            break  # no progress anywhere; report what we have
-    return m, res, iters
+            step[todo] /= 2.0
+            trial[todo] = ua[todo] - step[todo]
+        # a point leaves todo only once its evaluated trial passed both guards
+        take = np.ones(active.size, dtype=bool)
+        take[todo] = False
+        moved = active[take]
+        u[moved], f[moved], fp[moved], res[moved] = trial[take], ft[take], fpt[take], rt[take]
+        steps[active] += 1
+        # a point no halving could improve has stalled; it keeps its residual
+        active = moved[rt[take] > tol]
+    return u, res, steps
 
 
-def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float, max_iter: int = MAX_ITER):
-    """Solve the batch by warm-start continuation plus a Newton finish.
+def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
+    """Solve the batch by Newton continuation in u = 1/m down an eta ladder.
 
-    The damped map started cold from -1/z can wander near the real axis
-    (hard-edge points), so the Herglotz branch is tracked down a geometric eta
-    ladder from eta = 1, where the map is strongly contracting, to the target
-    eta of each point; every rung seeds the next and the whole batch moves
-    together.  Newton then finishes to the requested tolerance; any point it
-    leaves unconverged falls back to the damped sweep at the full budget.
+    Newton needs a start near the Herglotz root, so each point is solved at
+    eta = 1 first (from m = -1/z, close to the root there), then at eta / 4
+    per rung down to its own target eta, every rung seeding the next.  Only the
+    points whose eta moved are solved on a rung.
     """
     z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
     eta_target = z.imag
     rung = np.maximum(eta_target, 1.0)
-    m = -1.0 / (z.real + 1j * rung)
-    total_iters = np.zeros(z.shape, dtype=int)
-    while True:
-        final = np.all(rung <= eta_target)
-        zz = z.real + 1j * rung
-        m, res, iters = _damped_sweep(spec, zz, m, max(tol, 1e-8), 400)
-        total_iters += iters
-        if final:
-            break
-        rung = np.maximum(eta_target, rung / 4.0)
-    m, res, iters = _newton_polish(spec, z, m, tol)
-    total_iters += iters
-    if np.any(res > tol):
-        m, res, iters = _damped_sweep(spec, z, m, tol, max_iter)
-        total_iters += iters
-        if np.any(res > tol):
-            m2, res2, iters2 = _newton_polish(spec, z, m, tol)
-            better = res2 < res
-            m, res = np.where(better, m2, m), np.where(better, res2, res)
-            total_iters += iters2
-    return m, np.asarray(res), total_iters
+    u = -(z.real + 1j * rung)
+    res = np.full(z.shape, np.inf)
+    steps = np.zeros(z.shape, dtype=int)
+    moved = np.arange(z.size)
+    while moved.size:
+        zz = z.real[moved] + 1j * rung[moved]
+        u[moved], res[moved], n = _newton(spec, zz, u[moved], tol)
+        steps[moved] += n
+        lower = np.maximum(eta_target, rung / 4.0)
+        moved = np.flatnonzero(lower < rung)
+        rung = lower
+    return (1.0 / u).reshape(shape), res.reshape(shape), steps.reshape(shape)
 
 
-def solve_mfc(spec: PopulationSpectrum, z: complex, tol: float = DEFAULT_TOL,
-              max_iter: int = MAX_ITER) -> StieltjesValue:
+def solve_mfc(spec: PopulationSpectrum, z: complex, tol: float = DEFAULT_TOL) -> StieltjesValue:
     """Solve the self-consistent equation at one spectral parameter.
 
     For Im z < 0 the anti-Herglotz branch is returned via conjugation symmetry
@@ -200,25 +151,24 @@ def solve_mfc(spec: PopulationSpectrum, z: complex, tol: float = DEFAULT_TOL,
         raise DomainRejectionError("spectral parameter needs a nonzero imaginary part")
     conjugate = z.imag < 0
     zz = np.array([z.conjugate() if conjugate else z])
-    m, res, iters = _iterate(spec, zz, tol, max_iter)
+    m, res, steps = _iterate(spec, zz, tol)
     if res[0] > tol:
         raise ConvergenceError(
-            f"fixed point did not reach tol={tol:.1e} at z={z}: last residual {res[0]:.3e} "
-            f"after {int(iters[0])} iterations"
+            f"Newton continuation in 1/m did not reach tol={tol:.1e} at z={z}: "
+            f"residual {res[0]:.3e} after {int(steps[0])} Newton steps"
         )
     out = complex(m[0].conjugate() if conjugate else m[0])
     if not conjugate and out.imag < 0:
         raise ConvergenceError(f"Herglotz violation at z={z}: Im m = {out.imag:.3e}")
-    return StieltjesValue(m=out, residual=float(res[0]), iterations=int(iters[0]))
+    return StieltjesValue(m=out, residual=float(res[0]), iterations=int(steps[0]))
 
 
-def solve_mfc_grid(spec: PopulationSpectrum, z: np.ndarray, tol: float = DEFAULT_TOL,
-                   max_iter: int = MAX_ITER):
-    """Batch solve; returns (m, residual, iterations) arrays. Non-converged points keep residual > tol."""
+def solve_mfc_grid(spec: PopulationSpectrum, z: np.ndarray, tol: float = DEFAULT_TOL):
+    """Batch solve; returns (m, residual, Newton steps) arrays. Non-converged points keep residual > tol."""
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0):
         raise DomainRejectionError("grid solve requires Im z > 0 everywhere")
-    return _iterate(spec, z, tol, max_iter)
+    return _iterate(spec, z, tol)
 
 
 def mp_reference(d: float, z: complex) -> complex:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_bvp, solve_ivp
-from scipy.special import airy
 
 from .errors import ConvergenceError, DomainRejectionError
 
@@ -34,13 +32,8 @@ _IVP_RTOL = 1e-10
 _ASYMPTOTE_PAD = 4.0  # collocation extends this far left of s_min for the asymptotic anchor
 _TAIL_UPPER = 18.0    # Airy tail integrals are truncated here (Ai(18)^2 ~ 1e-45)
 
-
-def _ai(x):
-    return airy(x)[0]
-
-
-def _aip(x):
-    return airy(x)[1]
+# scipy is imported inside the functions that need it, never at module level:
+# the CLI imports this module for every command, and most never touch scipy.
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,16 @@ def _left_asymptote(s):
 def _collocation_sweep(s_left: float, s_max: float, ivp_sol=None):
     """Global boundary-data refinement: 4th-order collocation anchored on the
     left asymptote and Ai on the right, seeded from whatever the IVP produced."""
+    from scipy.integrate import solve_bvp
+    from scipy.special import airy
+
+    q_left, q_right = _left_asymptote(s_left), airy(s_max)[0]
 
     def rhs(s, y):
         return np.vstack([y[1], s * y[0] + 2.0 * y[0] ** 3])
 
     def bc(ya, yb):
-        return np.array([ya[0] - _left_asymptote(s_left), yb[0] - _ai(s_max)])
+        return np.array([ya[0] - q_left, yb[0] - q_right])
 
     mesh = np.linspace(s_left, s_max, 1600)
     guess = np.empty((2, mesh.size))
@@ -105,7 +102,7 @@ def _collocation_sweep(s_left: float, s_max: float, ivp_sol=None):
         guess[1, ~inside] = np.gradient(_left_asymptote(mesh[~inside]), mesh[~inside]) if (~inside).sum() > 1 else 0.0
     else:
         neg = mesh < -0.5
-        guess[0] = np.where(neg, np.sqrt(np.maximum(-mesh, 1.0) / 2.0), _ai(np.maximum(mesh, 0.0)))
+        guess[0] = np.where(neg, np.sqrt(np.maximum(-mesh, 1.0) / 2.0), airy(np.maximum(mesh, 0.0))[0])
         guess[1] = 0.0
     result = solve_bvp(rhs, bc, mesh, guess, tol=1e-11, max_nodes=400_000)
     if result.status != 0:
@@ -121,6 +118,10 @@ def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.00
         raise DomainRejectionError("s_min must be <= -10 so both tails are resolved")
     if step <= 0:
         raise DomainRejectionError("step must be positive")
+    from scipy.integrate import solve_ivp
+    from scipy.special import airy
+
+    ai_max, aip_max = airy(s_max)[:2]
 
     def odes(s, y):
         return [y[1], s * y[0] + 2.0 * y[0] ** 3]
@@ -129,7 +130,7 @@ def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.00
         return abs(y[0]) - BLOWUP_LIMIT
 
     blow_up.terminal = True
-    ivp = solve_ivp(odes, [s_max, s_min], [_ai(s_max), _aip(s_max)], method="RK45",
+    ivp = solve_ivp(odes, [s_max, s_min], [ai_max, aip_max], method="RK45",
                     rtol=_IVP_RTOL, atol=1e-14, dense_output=True, events=blow_up)
     grid = np.arange(0, int(round((s_max - s_min) / step)) + 1) * step + s_min
     grid[-1] = s_max
@@ -147,15 +148,17 @@ def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.00
     q, qp = vals[0], vals[1]
     if np.any(q <= 0.0):
         raise ConvergenceError("Hastings-McLeod solve produced non-positive values")
-    ratio = q[-1] / _ai(s_max)
+    ratio = q[-1] / ai_max
     if abs(ratio - 1.0) > 1e-4:
         raise ConvergenceError(f"right boundary mismatch: q/Ai = {ratio:.8f} at s = {s_max}")
     return PainleveSolution(grid=grid, q=q, qprime=qp)
 
 
 def _tail_nodes(s_max: float):
+    from scipy.special import airy
+
     x = np.linspace(s_max, _TAIL_UPPER, 600)
-    return x, _ai(x)
+    return x, airy(x)[0]
 
 
 def tw_cdf(beta: int, s: float, sol: PainleveSolution) -> float:
@@ -164,6 +167,8 @@ def tw_cdf(beta: int, s: float, sol: PainleveSolution) -> float:
     The integrals beyond the grid's right end are completed with Ai in place
     of q (they agree there to ~1e-9 by the boundary condition).
     """
+    from scipy.integrate import simpson
+
     grid, q = sol.grid, sol.q
     if s < grid[0] - 1e-12 or s > grid[-1] + 1e-12:
         raise DomainRejectionError(f"s={s} outside the stored grid [{grid[0]}, {grid[-1]}]; extrapolation refused")
@@ -186,6 +191,8 @@ def tw_cdf(beta: int, s: float, sol: PainleveSolution) -> float:
 def tw_table(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.01,
              sol: PainleveSolution | None = None) -> TWTable:
     """Tabulate F1 and F2 on a uniform grid (vectorized cumulative quadrature)."""
+    from scipy.integrate import cumulative_simpson, simpson
+
     if sol is None:
         sol = hastings_mcleod(min(s_min, -10.0), max(s_max, 6.0), step=min(step, 0.005))
     n = int(round((s_max - s_min) / step))
@@ -207,6 +214,8 @@ def tw_table(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.01,
 
 def airy_kernel_f2(s: float, n_nodes: int = 60, upper: float = 12.0) -> float:
     """Independent F2 oracle: Nystrom discretization of det(I - K_Ai) on L^2(s, inf)."""
+    from scipy.special import airy
+
     u, w = np.polynomial.legendre.leggauss(n_nodes)
     x = 0.5 * (u + 1.0) * (upper - s) + s
     ww = 0.5 * (upper - s) * w

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgekit
+from edgekit import cli
 from edgekit.population import two_point_spectrum, write_spectrum
 
 # The child imports the same edgekit as this process (a src/ checkout or an
@@ -16,11 +17,14 @@ _CHILD_PYTHONPATH = os.pathsep.join(
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
 
 
+def _child_env(cache, cwd):
+    return {"EDGEKIT_CACHE": str(cache), "PATH": "/usr/bin:/bin", "HOME": str(cwd),
+            "PYTHONPATH": _CHILD_PYTHONPATH}
+
+
 def run_cli(args, cache, cwd):
-    env = {"EDGEKIT_CACHE": str(cache), "PATH": "/usr/bin:/bin", "HOME": str(cwd),
-           "PYTHONPATH": _CHILD_PYTHONPATH}
     return subprocess.run([sys.executable, "-m", "edgekit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=_child_env(cache, cwd))
 
 
 @pytest.fixture()
@@ -60,6 +64,30 @@ def test_usage_error_exit_code(workspace):
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage: edgekit"), proc.stderr
         assert "error:" in proc.stderr, proc.stderr
+
+
+def test_cli_import_does_not_load_scipy(workspace):
+    # every command pays for the CLI's imports; only the Tracy-Widom ones need scipy
+    cwd, cache = workspace
+    code = "import sys, edgekit.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=_child_env(cache, cwd))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
+    # one Newton step per rung leaves most points unconverged
+    monkeypatch.setattr(edgekit.stieltjes, "_NEWTON_STEPS", 1)
+    code = cli.main(["density", "--spectrum", "identity:M=20,N=20", "--emin", "1",
+                     "--emax", "2", "--points", "11", "--out", str(tmp_path / "out")])
+    assert code == 0
+    rows = (tmp_path / "out" / "density.csv").read_text().strip().splitlines()[1:]
+    failed = [e for e, rho in (row.split(",") for row in rows) if rho == "nan"]
+    assert len(failed) > 5
+    err = capsys.readouterr().err
+    assert err == (f"{len(failed)} grid points failed to converge (NaN sentinel in CSV), "
+                   f"first at E = {', '.join(failed[:5])}, ...\n")
 
 
 def test_simulate_byte_identical_across_threads(workspace):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit.errors import DomainRejectionError
+from edgekit.errors import ConvergenceError, DomainRejectionError
 
 from oracles import mp_quadratic_roots
 
@@ -48,6 +48,42 @@ def test_solver_matches_mp_reference_on_grid(identity100):
     assert np.max(np.abs(m - ref)) < 1e-10
     assert np.all(m.imag >= 0)
     assert np.all(res <= 1e-13)
+
+
+@pytest.mark.parametrize("eta0", [1e-6, 1e-8])
+@pytest.mark.parametrize("M, N, E", [
+    # d = 2: m has a pole m ~ -(1 - 1/d)/z at E = 0 from the atom of the spectrum there
+    (200, 400, np.union1d(np.linspace(-0.5, 3.5, 161),
+                          [0.0, -1e-3, -1e-4, -1e-6, 1e-6, 1e-5, 3e-4, 1e-3])),
+    # d = 1/2: no atom, m stays bounded at E = 0
+    (100, 50, np.linspace(-0.5, 7.0, 301)),
+])
+def test_pole_and_small_d_vs_quadratic_oracle(M, N, E, eta0):
+    spec = ek.identity_spectrum(M, N)
+    z = E + 1j * eta0
+    m, res, _ = ek.stieltjes.solve_mfc_grid(spec, z)
+    ref = np.array([mp_quadratic_roots(spec.d, zz) for zz in z])
+    assert np.all(res <= 1e-12)
+    assert np.all(m.imag >= 0)
+    assert np.max(np.abs(m - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
+
+
+def test_newton_step_budget():
+    # Newton continuation takes tens of steps per point; a fixed-point sweep
+    # would need thousands at this eta
+    spec = ek.uniform_spectrum(0.5, 2.0, 200, 200)
+    z = np.linspace(0.0, 8.0, 500) + 1e-8j
+    _, res, steps = ek.stieltjes.solve_mfc_grid(spec, z)
+    assert np.all(res <= ek.stieltjes.DEFAULT_TOL)
+    assert steps.max() <= 200
+
+
+def test_convergence_error_names_the_point(identity100, monkeypatch):
+    # one Newton step per rung is too few at the edge
+    monkeypatch.setattr(ek.stieltjes, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceError, match=r"Newton continuation .* at z=\(4\+1e-08j\): "
+                                               r"residual .* after \d+ Newton steps"):
+        ek.solve_mfc(identity100, 4.0 + 1e-8j)
 
 
 def test_conjugation_branch(twopoint200):
