@@ -15,7 +15,7 @@ from .flow import FlowState, coefficient_identities_check, flow_state, gamma_dot
 from .green import (CheckReport, GreenObservables, Linearization, build_linearization,
                     cancellation_check, comparison_functional, decoupling_residual,
                     observables, optical_residual, verify_schur, ward_check)
-from .detect import (DetectionResult, calibrate_null, calibrate_null_covariance,
-                     nearest_cached_null, p_value, r_statistic)
+from .detect import (DetectionResult, calibrate_null, calibrate_null_covariance, p_value,
+                     r_statistic)
 
 __version__ = "0.1.0"

@@ -162,13 +162,8 @@ def cmd_flow_verify(args) -> int:
 def cmd_detect(args) -> int:
     spec = load_spectrum(args.spectrum)
     table_N = args.table_N if args.table_N is not None else spec.N
-    found = detect_mod.nearest_cached_null(table_N, args.null_reps, args.table_seed)
-    if found is not None and args.table_N is None:
-        table, table_N, table_id = found
-    else:
-        table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed,
-                                          threads=args.threads)
-        table_id = f"goe_R_N{table_N}_n{args.null_reps}_seed{args.table_seed}"
+    table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed, threads=args.threads)
+    table_id = f"goe_R_N{table_N}_n{args.null_reps}_seed{args.table_seed}"
     config = EnsembleConfig(N=spec.N, M=spec.M, spectrum=spec, replicates=1, k=3, seed=args.seed)
     mus = top_eigenvalues(sample_data_matrix(config, 0), spec, 3)
     result = detect_mod.detect(mus[0], mus[1], mus[2], table, table_id=table_id)
@@ -266,7 +261,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="gap-ratio signal detection on one draw")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--table-N", type=int, default=None,
-                   help="null-table size; defaults to the spectrum's N with nearest-N cache lookup")
+                   help="N of the GOE null table, built on each run; defaults to the spectrum's N")
     p.add_argument("--null-reps", type=int, default=2000)
     p.add_argument("--table-seed", type=int, default=0)
     _add_common(p)

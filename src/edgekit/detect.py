@@ -2,22 +2,20 @@
 
 R is invariant under affine rescaling of the eigenvalues, so the unknown edge
 location and scaling factor drop out under the null hypothesis; its null law
-is approximated by GOE top-3 simulation and cached to disk.  Pivotality is
-only asymptotic, so tables are keyed by N and a nearest-N cached table may be
-substituted with a warning.
+is approximated by GOE top-3 simulation at the requested N.  Pivotality is
+only asymptotic, so a table belongs to one N.  Tables are rebuilt on every
+call, never read from disk: a few thousand tridiagonal GOE draws take seconds,
+and the output then depends only on the flags.
 """
 
 from __future__ import annotations
 
-import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainRejectionError
 from .ensemble import null_reference_W, sample_goe_top
-from .tracy_widom import cache_dir
 
 _GAP_EPS = 1e-14
 
@@ -43,44 +41,17 @@ def r_statistic(mu1: float, mu2: float, mu3: float) -> float:
     return (mu1 - mu2) / gap
 
 
-def calibrate_null(N: int, replicates: int, seed: int, threads: int = 1,
-                   use_cache: bool = True) -> np.ndarray:
-    """Sorted null table of R from GOE top-3 simulation (cached as CSV)."""
+def calibrate_null(N: int, replicates: int, seed: int, threads: int = 1) -> np.ndarray:
+    """Sorted null table of R from GOE top-3 simulation."""
     if replicates < 1000:
         raise DomainRejectionError("need >= 1000 replicates for 1e-3 p-value resolution")
-    path = cache_dir() / f"goe_R_N{N}_n{replicates}_seed{seed}.csv"
-    if use_cache and path.exists():
-        return np.loadtxt(path)
     tops = sample_goe_top(N, 3, replicates, seed, threads=threads).raw
-    table = np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
-    if use_cache:
-        np.savetxt(path, table, fmt="%.17g")  # 17 significant digits round-trip exactly
-    return table
-
-
-def nearest_cached_null(N: int, replicates: int, seed: int):
-    """Nearest-N cached table for the same (replicates, seed), or None.
-
-    Warns when substituting a different N: the statistic is only
-    asymptotically pivotal, so nearby sizes are interchangeable in practice.
-    """
-    pattern = re.compile(rf"goe_R_N(\d+)_n{replicates}_seed{seed}\.csv$")
-    candidates = []
-    for path in cache_dir().glob(f"goe_R_N*_n{replicates}_seed{seed}.csv"):
-        m = pattern.search(path.name)
-        if m:
-            candidates.append((abs(int(m.group(1)) - N), int(m.group(1)), path))
-    if not candidates:
-        return None
-    _, n_found, path = min(candidates)
-    if n_found != N:
-        warnings.warn(f"no null table for N={N}; using nearest cached N={n_found}", stacklevel=2)
-    return np.loadtxt(path), n_found, path.stem
+    return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
 
 
 def calibrate_null_covariance(N: int, M: int, replicates: int, seed: int,
                               threads: int = 1) -> np.ndarray:
-    """Diagnostic R table from the null-case covariance ensemble (not cached).
+    """Diagnostic R table from the null-case covariance ensemble.
 
     Cross-checks the GOE-based table: both converge to the same gap-ratio law.
     """

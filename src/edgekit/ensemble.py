@@ -224,16 +224,26 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
 
 
 def _goe_worker(args):
+    """Top k of one GOE draw, from its Dumitriu-Edelman (2002) tridiagonal form.
+
+    Householder tridiagonalization of (B + B^T)/sqrt(2N) leaves a matrix with
+    the same eigenvalues, N(0, 2/N) on the diagonal and chi_{N-j}/sqrt(N) at
+    off-diagonal position j = 1..N-1, all independent.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     N, k, seed, rep = args
     rng = replicate_rng(seed, rep)
-    B = rng.standard_normal((N, N))
-    A = (B + B.T) / np.sqrt(2.0 * N)
-    vals = np.linalg.eigvalsh(A)
-    return vals[-k:][::-1]
+    diag = rng.standard_normal(N) * np.sqrt(2.0 / N)
+    off = np.sqrt(rng.chisquare(np.arange(N - 1, 0, -1)) / N)
+    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(N - k, N - 1))
+    return vals[::-1]
 
 
 def sample_goe_top(N: int, k: int, replicates: int, seed: int, threads: int = 1) -> EdgeSamples:
     """GOE top-k rescaled by N^{2/3} (mu - 2); off-diagonal variance 1/N, diagonal 2/N."""
+    import scipy.linalg  # noqa: F401  (imported once here; forked workers inherit it)
+
     jobs = [(N, k, seed, r) for r in range(replicates)]
     raw = np.array(_parallel_rows(_goe_worker, jobs, threads))
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - 2.0), raw=raw)

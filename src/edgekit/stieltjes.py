@@ -54,7 +54,7 @@ class DensityCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float):
+def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, max_steps: int):
     """Newton's method on f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z.
 
     u = 1/m, so f(u) = 0 is the self-consistent equation; unlike the equation in
@@ -62,7 +62,8 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float):
     u -> 0.  A step is halved while it would leave the closed lower half-plane
     (Im u <= 0, i.e. Im m >= 0) or grow the residual |m - RHS(m)| / max(1, |m|),
     which is also the convergence test.  Only unconverged points are
-    evaluated.  Returns (u, residual, Newton steps per point).
+    evaluated, for at most max_steps steps.  Returns (u, residual, Newton
+    steps per point).
     """
     sigma = spec._values[:, None]
     w_sigma = spec._weights * spec._values
@@ -84,7 +85,7 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float):
     f, fp, res = evaluate(u, z)
     steps = np.zeros(z.shape, dtype=int)
     active = np.flatnonzero(res > tol)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(max_steps):
         if active.size == 0:
             break
         ua, za, ra = u[active], z[active], res[active]
@@ -118,7 +119,10 @@ def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
     Newton needs a start near the Herglotz root, so each point is solved at
     eta = 1 first (from m = -1/z, close to the root there), then at eta / 4
     per rung down to its own target eta, every rung seeding the next.  Only the
-    points whose eta moved are solved on a rung.
+    points whose eta moved are solved on a rung.  Newton stops at the first
+    residual <= tol, where the error in m can still be ~ residual / sqrt(eta)
+    near a square-root edge; one more guarded step on every converged point
+    takes it to roundoff.
     """
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
@@ -130,11 +134,14 @@ def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
     moved = np.arange(z.size)
     while moved.size:
         zz = z.real[moved] + 1j * rung[moved]
-        u[moved], res[moved], n = _newton(spec, zz, u[moved], tol)
+        u[moved], res[moved], n = _newton(spec, zz, u[moved], tol, _NEWTON_STEPS)
         steps[moved] += n
         lower = np.maximum(eta_target, rung / 4.0)
         moved = np.flatnonzero(lower < rung)
         rung = lower
+    done = np.flatnonzero(res <= tol)
+    u[done], res[done], n = _newton(spec, z[done], u[done], 0.0, 1)
+    steps[done] += n
     return (1.0 / u).reshape(shape), res.reshape(shape), steps.reshape(shape)
 
 

@@ -6,11 +6,11 @@ s -> +inf) yields
     F2(s) = exp( - int_s^inf (x - s) q(x)^2 dx ),
     F1(s) = exp( - (1/2) int_s^inf q(x) dx ) * sqrt(F2(s)).
 
-q is a separatrix: marching it backwards in double precision departs near
-s ~ -8 no matter how the right boundary data are refined, so the solver
-integrates the IVP first and, when blow-up is detected, refines the boundary
-data globally with a damped collocation sweep anchored on the left asymptote
-q(s) = sqrt(-s/2)(1 + 1/(8 s^3) - 73/(128 s^6)).
+q is a separatrix: marching it backwards from Airy data in double precision
+departs near s ~ -8 no matter how the right boundary data are refined.  The
+solver therefore treats it as a boundary-value problem on the whole interval:
+4th-order collocation anchored on the left asymptote
+q(s) = sqrt(-s/2)(1 + 1/(8 s^3) - 73/(128 s^6)) and on Ai at the right end.
 
 The independent cross-check is the Airy-kernel Fredholm determinant
 F2(s) = det(I - K_Ai) on L^2(s, inf), discretized by Gauss-Legendre Nystrom.
@@ -27,8 +27,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainRejectionError
 
-BLOWUP_LIMIT = 1e6
-_IVP_RTOL = 1e-10
 _ASYMPTOTE_PAD = 4.0  # collocation extends this far left of s_min for the asymptotic anchor
 _TAIL_UPPER = 18.0    # Airy tail integrals are truncated here (Ai(18)^2 ~ 1e-45)
 
@@ -77,9 +75,9 @@ def _left_asymptote(s):
     return np.sqrt(-s / 2.0) * (1.0 + 1.0 / (8.0 * s ** 3) - 73.0 / (128.0 * s ** 6))
 
 
-def _collocation_sweep(s_left: float, s_max: float, ivp_sol=None):
-    """Global boundary-data refinement: 4th-order collocation anchored on the
-    left asymptote and Ai on the right, seeded from whatever the IVP produced."""
+def _collocation_sweep(s_left: float, s_max: float):
+    """4th-order collocation on [s_left, s_max] anchored on the left asymptote
+    and on Ai at s_max, started from sqrt(-s/2) on the left and Ai on the right."""
     from scipy.integrate import solve_bvp
     from scipy.special import airy
 
@@ -92,21 +90,11 @@ def _collocation_sweep(s_left: float, s_max: float, ivp_sol=None):
         return np.array([ya[0] - q_left, yb[0] - q_right])
 
     mesh = np.linspace(s_left, s_max, 1600)
-    guess = np.empty((2, mesh.size))
-    if ivp_sol is not None:
-        lo = max(ivp_sol.t.min(), s_left)
-        inside = mesh >= lo
-        guess[0, inside] = ivp_sol.sol(mesh[inside])[0]
-        guess[1, inside] = ivp_sol.sol(mesh[inside])[1]
-        guess[0, ~inside] = _left_asymptote(mesh[~inside])
-        guess[1, ~inside] = np.gradient(_left_asymptote(mesh[~inside]), mesh[~inside]) if (~inside).sum() > 1 else 0.0
-    else:
-        neg = mesh < -0.5
-        guess[0] = np.where(neg, np.sqrt(np.maximum(-mesh, 1.0) / 2.0), airy(np.maximum(mesh, 0.0))[0])
-        guess[1] = 0.0
+    guess = np.zeros((2, mesh.size))
+    guess[0] = np.where(mesh < -0.5, np.sqrt(np.maximum(-mesh, 1.0) / 2.0), airy(np.maximum(mesh, 0.0))[0])
     result = solve_bvp(rhs, bc, mesh, guess, tol=1e-11, max_nodes=400_000)
     if result.status != 0:
-        raise ConvergenceError(f"persistent blow-up: collocation sweep failed ({result.message})")
+        raise ConvergenceError(f"collocation sweep failed ({result.message})")
     return result.sol
 
 
@@ -118,37 +106,14 @@ def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.00
         raise DomainRejectionError("s_min must be <= -10 so both tails are resolved")
     if step <= 0:
         raise DomainRejectionError("step must be positive")
-    from scipy.integrate import solve_ivp
     from scipy.special import airy
 
-    ai_max, aip_max = airy(s_max)[:2]
-
-    def odes(s, y):
-        return [y[1], s * y[0] + 2.0 * y[0] ** 3]
-
-    def blow_up(s, y):
-        return abs(y[0]) - BLOWUP_LIMIT
-
-    blow_up.terminal = True
-    ivp = solve_ivp(odes, [s_max, s_min], [ai_max, aip_max], method="RK45",
-                    rtol=_IVP_RTOL, atol=1e-14, dense_output=True, events=blow_up)
     grid = np.arange(0, int(round((s_max - s_min) / step)) + 1) * step + s_min
     grid[-1] = s_max
-
-    departed = ivp.status == 1 or ivp.t[-1] > s_min
-    if not departed:
-        # departure can also be silent: compare against the far-left asymptote
-        q_left = float(ivp.sol(s_min)[0])
-        departed = abs(q_left / _left_asymptote(s_min) - 1.0) > 1e-3
-    if departed:
-        sol = _collocation_sweep(s_min - _ASYMPTOTE_PAD, s_max, ivp if ivp.t.size > 1 else None)
-        vals = sol(grid)
-    else:
-        vals = ivp.sol(grid)
-    q, qp = vals[0], vals[1]
+    q, qp = _collocation_sweep(s_min - _ASYMPTOTE_PAD, s_max)(grid)
     if np.any(q <= 0.0):
         raise ConvergenceError("Hastings-McLeod solve produced non-positive values")
-    ratio = q[-1] / ai_max
+    ratio = q[-1] / airy(s_max)[0]
     if abs(ratio - 1.0) > 1e-4:
         raise ConvergenceError(f"right boundary mismatch: q/Ai = {ratio:.8f} at s = {s_max}")
     return PainleveSolution(grid=grid, q=q, qprime=qp)

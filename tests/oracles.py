@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: root bracketing via
 scipy's brentq, eigenvalues via characteristic polynomials or SVD, F1 via a
 determinant representation, the Painleve function via plain backward marching
-(valid right of s ~ -4), and explicit index loops for the Green observables.
+(valid right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices, and
+explicit index loops for the Green observables.
 """
 
 import numpy as np
@@ -64,6 +65,16 @@ def painleve_ivp(s_eval: np.ndarray, s_max: float = 6.0):
                     [s_max, float(np.min(s_eval))], [ai, aip],
                     method="RK45", rtol=1e-11, atol=1e-14, dense_output=True)
     return sol.sol(s_eval)[0]
+
+
+def dense_goe_top(N: int, k: int, replicates: int, seed: int) -> np.ndarray:
+    """Top k eigenvalues, descending, of dense GOE draws (B + B^T)/sqrt(2N)."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((replicates, k))
+    for r in range(replicates):
+        B = rng.standard_normal((N, N))
+        rows[r] = np.linalg.eigvalsh((B + B.T) / np.sqrt(2.0 * N))[-k:][::-1]
+    return rows
 
 
 def loop_observables(G: np.ndarray, i: int, m: complex, tau: float):

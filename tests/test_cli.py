@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edgekit
@@ -155,6 +156,22 @@ def test_detect_command_and_exit(workspace):
     result = json.loads((cwd / "out" / "detect.json").read_text())
     assert 0.0 < result["p_value"] <= 1.0
     assert result["n_null"] == 1000
+
+
+def test_detect_output_independent_of_cache(tmp_path):
+    # a null table for another N in the cache directory must not change the output
+    stale = tmp_path / "b" / "cache" / "goe_R_N60_n1000_seed0.csv"
+    stale.parent.mkdir(parents=True)
+    np.savetxt(stale, edgekit.calibrate_null(60, 1000, seed=0), fmt="%.17g")
+    (tmp_path / "a" / "cache").mkdir(parents=True)
+    args = ["detect", "--spectrum", "identity:M=100,N=100", "--null-reps", "1000",
+            "--seed", "1", "--threads", "1", "--out", "out"]
+    for side in ("a", "b"):
+        proc = run_cli(args, tmp_path / side / "cache", tmp_path / side)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "", proc.stderr
+    for name in ("detect.json", "manifest.json"):
+        assert (tmp_path / "a" / "out" / name).read_bytes() == (tmp_path / "b" / "out" / name).read_bytes()
 
 
 def test_compare_command(workspace):

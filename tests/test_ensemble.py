@@ -5,7 +5,7 @@ import edgekit as ek
 from edgekit.ensemble import null_case_edge, replicate_rng
 from edgekit.errors import DomainRejectionError
 
-from oracles import charpoly_eigs_3x3, inverse_transform_samples, svd_squared
+from oracles import charpoly_eigs_3x3, dense_goe_top, inverse_transform_samples, svd_squared
 
 
 def _config(spec, **kw):
@@ -127,15 +127,30 @@ def test_goe_trace_moments_and_determinism():
     a = ek.sample_goe_top(150, 2, 6, seed=5)
     b = ek.sample_goe_top(150, 2, 6, seed=5)
     assert np.array_equal(a.rows, b.rows)
-    # construction sanity via trace moments of one draw
+    # the first draw is the Dumitriu-Edelman tridiagonal matrix T of replicate 0:
+    # diagonal N(0, 2/N), off-diagonal j = 1..N-1 distributed as chi_{N-j}/sqrt(N)
     rng = replicate_rng(5, 0)
-    B = rng.standard_normal((150, 150))
-    A = (B + B.T) / np.sqrt(300)
-    off = A[~np.eye(150, dtype=bool)]
-    assert off.var() == pytest.approx(1.0 / 150, rel=0.1)
-    assert A.diagonal().var() == pytest.approx(2.0 / 150, rel=0.5)
-    # E Tr A^2 = N + 1 with this normalization
-    assert np.trace(A @ A) / 150 == pytest.approx(1.0, rel=0.1)
+    diag = rng.standard_normal(150) * np.sqrt(2.0 / 150)
+    off = np.sqrt(rng.chisquare(np.arange(149, 0, -1)) / 150)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.abs(np.linalg.eigvalsh(T)[-2:][::-1] - a.raw[0])) < 1e-12
+    # construction sanity via moments of that draw
+    assert np.mean(off ** 2 * 150 / np.arange(149, 0, -1)) == pytest.approx(1.0, rel=0.1)
+    assert diag.var() == pytest.approx(2.0 / 150, rel=0.5)
+    # E Tr T^2 = N + 1 with this normalization, as for the dense GOE
+    assert np.trace(T @ T) / 150 == pytest.approx(1.0, rel=0.1)
+
+
+def test_tridiagonal_goe_matches_dense():
+    # two-sample KS of the tridiagonal sampler against dense GOE draws, for the
+    # top three eigenvalues and the gap ratio R, at the 0.1% critical value
+    N, reps = 100, 4000
+    tri = ek.sample_goe_top(N, 3, reps, seed=31).raw
+    dense = dense_goe_top(N, 3, reps, seed=32)
+    gap_ratio = lambda t: (t[:, 0] - t[:, 1]) / (t[:, 1] - t[:, 2])
+    stats = [ek.two_sample_ks(tri[:, i], dense[:, i]) for i in range(3)]
+    stats.append(ek.two_sample_ks(gap_ratio(tri), gap_ratio(dense)))
+    assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
 
 
 def test_goe_vs_f1(tw_reference):

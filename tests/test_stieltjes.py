@@ -57,6 +57,9 @@ def test_solver_matches_mp_reference_on_grid(identity100):
                           [0.0, -1e-3, -1e-4, -1e-6, 1e-6, 1e-5, 3e-4, 1e-3])),
     # d = 1/2: no atom, m stays bounded at E = 0
     (100, 50, np.linspace(-0.5, 7.0, 301)),
+    # d = 2, within 1e-3 of the square-root edge E+ = (1 + sqrt 2)^2 / 2, where
+    # the error in m is ~ residual / sqrt(eta) until Newton takes one more step
+    (200, 400, (1.0 + np.sqrt(2.0)) ** 2 / 2.0 - np.geomspace(1e-9, 1e-3, 400)),
 ])
 def test_pole_and_small_d_vs_quadratic_oracle(M, N, E, eta0):
     spec = ek.identity_spectrum(M, N)
