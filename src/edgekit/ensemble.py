@@ -1,15 +1,27 @@
-"""Sample covariance ensembles and edge-statistics Monte Carlo.
+"""Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
-Replicate r of a run draws its data matrix from an independent counter-based
-stream Philox(key=(seed, r)), so results are reproducible bit-for-bit and
-independent of evaluation order or worker count.
+Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
+its own counter-based Philox stream (Salmon et al., SC 2011), built only by
+`replicate_rng(seed, index)`.  The stream keys (seed, index) are:
+
+    replicate r of a run or of a GOE / null table    (seed, r)
+    compare, null-reference draw r                   (seed + 1, r)
+    bootstrap of a flow check or of compare          (seed, 2^63 + 1)
+    decoupling, frozen base b                        (seed, 2^63 + 1000 + b)
+    decoupling, resampled row r of base b            (seed, (b << 32) + r)
+
+So outputs do not depend on --threads.  They do depend on the BLAS thread
+count: samples.csv differs in its last digits between OPENBLAS_NUM_THREADS=1
+and =2.  `detect`'s one draw and replicate 0 of its null table share the
+stream (seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +77,15 @@ class EntryDistribution:
         return np.where(rng.random((M, N)) < self.p, a, b) / root_n
 
 
+GAUSSIAN = EntryDistribution()  # draws every Gaussian data matrix in edgekit, green's too
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     N: int
     M: int
     spectrum: PopulationSpectrum
-    entries: EntryDistribution = field(default_factory=EntryDistribution)
+    entries: EntryDistribution = GAUSSIAN
     replicates: int = 100
     k: int = 1
     seed: int = 0
@@ -133,10 +148,32 @@ class KsReport:
         return json.dumps({"statistic": self.statistic, "n": self.n, "reference": self.reference})
 
 
-def replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
-    """Counter-based stream for one replicate; order-independent across replicates."""
-    key = np.array([seed, replicate_index], dtype=np.uint64)
+def replicate_rng(seed: int, index: int) -> np.random.Generator:
+    """The counter-based stream with key (seed, index); see the module docstring for the layout."""
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _attributed(worker, indexed_job):
+    index, job = indexed_job
+    try:
+        return worker(job)
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
+        raise ConvergenceError(f"replicate {index}: {exc}") from exc
+
+
+def map_replicates(worker, jobs: list, threads: int) -> list:
+    """[worker(job) for job in jobs], in order, on `threads` processes.
+
+    worker must be a module-level function.  A ConvergenceError or LinAlgError
+    in worker(jobs[i]) is raised as ConvergenceError("replicate i: ...") on
+    either path.
+    """
+    run = functools.partial(_attributed, worker)
+    if threads <= 1:
+        return [run(job) for job in enumerate(jobs)]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, enumerate(jobs), chunksize=max(1, len(jobs) // (8 * threads))))
 
 
 def sample_data_matrix(config: EnsembleConfig, replicate_index: int) -> np.ndarray:
@@ -193,13 +230,6 @@ def _covariance_worker(args):
     return top_eigenvalues(X, config.spectrum, config.k)
 
 
-def _parallel_rows(worker, jobs, threads: int) -> list:
-    if threads <= 1:
-        return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (8 * threads))))
-
-
 def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
                     edge: EdgeParams | None = None) -> EdgeSamples:
     """Rescaled top-k edge samples over independent replicates.
@@ -210,16 +240,7 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     if edge is None:
         edge = edge_params(config.spectrum, require_subcritical=True)
     jobs = [(config, r) for r in range(config.replicates)]
-    try:
-        raw = np.array(_parallel_rows(_covariance_worker, jobs, threads))
-    except ConvergenceError:
-        # rerun serially to attribute the failing replicate
-        for r in range(config.replicates):
-            try:
-                _covariance_worker((config, r))
-            except ConvergenceError as exc:
-                raise ConvergenceError(f"replicate {r}: {exc}") from exc
-        raise
+    raw = np.array(map_replicates(_covariance_worker, jobs, threads))
     return EdgeSamples(rows=rescale_edge(raw, edge, config.N), raw=raw)
 
 
@@ -245,22 +266,24 @@ def sample_goe_top(N: int, k: int, replicates: int, seed: int, threads: int = 1)
     import scipy.linalg  # noqa: F401  (imported once here; forked workers inherit it)
 
     jobs = [(N, k, seed, r) for r in range(replicates)]
-    raw = np.array(_parallel_rows(_goe_worker, jobs, threads))
+    raw = np.array(map_replicates(_goe_worker, jobs, threads))
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - 2.0), raw=raw)
+
+
+def null_w_scale(d: float) -> float:
+    """Scale sqrt(d) (1+sqrt(d))^{-4/3} of the null matrix W = scale * X^* X."""
+    return np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
 
 
 def null_case_edge(d: float) -> float:
     """Upper edge M_plus of the rescaled null law: gamma(inf) * (1+sqrt(d))^2 / d."""
-    rd = np.sqrt(d)
-    return rd * (1.0 + rd) ** (-4.0 / 3.0) * (1.0 + rd) ** 2 / d
+    return null_w_scale(d) * (1.0 + np.sqrt(d)) ** 2 / d
 
 
 def _null_w_worker(args):
     N, M, k, seed, rep = args
-    rng = replicate_rng(seed, rep)
-    d = N / M
-    X = rng.standard_normal((M, N)) / np.sqrt(N)
-    scale = np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), M, N)
+    scale = null_w_scale(N / M)
     if M <= N:
         A = scale * (X @ X.T)
     else:
@@ -272,7 +295,7 @@ def null_reference_W(N: int, M: int, replicates: int, seed: int, k: int = 1,
                      threads: int = 1) -> EdgeSamples:
     """Rescaled null-case samples N^{2/3} (mu_1^W - M_plus) for W = sqrt(d)(1+sqrt(d))^{-4/3} X^* X."""
     jobs = [(N, M, k, seed, r) for r in range(replicates)]
-    raw = np.array(_parallel_rows(_null_w_worker, jobs, threads))
+    raw = np.array(map_replicates(_null_w_worker, jobs, threads))
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - null_case_edge(N / M)), raw=raw)
 
 

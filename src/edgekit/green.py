@@ -25,11 +25,11 @@ PASS / FAIL / INCONCLUSIVE.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import GAUSSIAN, map_replicates, null_case_edge, null_w_scale, replicate_rng
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum
@@ -190,12 +190,6 @@ def edge_window_z(state: FlowState, eps: float = DEFAULT_EPS, y: float = 0.0) ->
 # Monte Carlo machinery (index-averaged estimators from one symmetric eigensolve)
 
 
-def _draw_matrix(state: FlowState, seed: int, rep: int) -> np.ndarray:
-    key = np.array([seed, rep], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal((state.M, state.N)) / np.sqrt(state.N)
-
-
 def _avg_observables(lam: np.ndarray, z: complex, tau: float, N: int):
     """Index-averaged (X22, X33, X44, X44', m): averaging over i turns the
     per-index chains into spectral sums sum_j (lam_j - z)^{-k}."""
@@ -211,7 +205,7 @@ def _avg_observables(lam: np.ndarray, z: complex, tau: float, N: int):
 
 def _x3_x4_worker(args):
     state, z, seed, rep = args
-    X = _draw_matrix(state, seed, rep)
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N)
     Q = (state.t_alpha[:, None] * X).T @ X
     lam = np.linalg.eigvalsh(Q)
     m, X22, X33, X44, X44p = _avg_observables(lam, z, state.tau_t, state.N)
@@ -223,17 +217,12 @@ def _x3_x4_worker(args):
 
 def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int = 1):
     jobs = [(state, z, seed, r) for r in range(reps)]
-    if threads <= 1:
-        vals = [_x3_x4_worker(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(_x3_x4_worker, jobs, chunksize=max(1, reps // (8 * threads))))
-    arr = np.array(vals, dtype=complex)
+    arr = np.array(map_replicates(_x3_x4_worker, jobs, threads), dtype=complex)
     return arr[:, 0], arr[:, 1]
 
 
 def _bootstrap_sd(stat, samples_tuple, seed: int, n_boot: int = _BOOTSTRAP) -> float:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, _AUX_STREAM + 1], dtype=np.uint64)))
+    rng = replicate_rng(seed, _AUX_STREAM + 1)
     n = samples_tuple[0].shape[0]
     vals = np.empty(n_boot)
     for b in range(n_boot):
@@ -312,9 +301,8 @@ def cancellation_check(state: FlowState, reps: int, seed: int, eps: float = DEFA
 
 def _decoupling_worker(args):
     state, z, seed, base, rep, alpha = args
-    X = _draw_matrix(state, seed, _AUX_STREAM + 1000 + base)  # frozen base
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, (base << 32) + rep], dtype=np.uint64)))
-    X[alpha, :] = rng.standard_normal(state.N) / np.sqrt(state.N)
+    X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, state.N)  # frozen base
+    X[alpha, :] = GAUSSIAN.sample(replicate_rng(seed, (base << 32) + rep), 1, state.N)[0]
     Q = (state.t_alpha[:, None] * X).T @ X
     lam, V = np.linalg.eigh(Q)
     w = 1.0 / (lam - z)
@@ -359,12 +347,8 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, alpha: int | Non
         z = complex(z.real, eta_override)
     per_base = max(1, reps // max(bases, 1))
     jobs = [(state, z, seed, b, r, alpha) for b in range(bases) for r in range(per_base)]
-    if threads <= 1:
-        vals = [_decoupling_worker(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(_decoupling_worker, jobs, chunksize=max(1, len(jobs) // (8 * threads))))
-    arr = np.array(vals, dtype=complex).reshape(bases, per_base, 3)
+    arr = np.array(map_replicates(_decoupling_worker, jobs, threads), dtype=complex)
+    arr = arr.reshape(bases, per_base, 3)
     diff_by_base = (arr[:, :, 0] - arr[:, :, 1]).mean(axis=1)
     resid = float(abs(diff_by_base.mean()))
     # power-counting magnitude of the order-Psi^2 term (no phase cancellation)
@@ -380,17 +364,13 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, alpha: int | Non
 def _functional_worker(args):
     kind, state, xs, weights, eta, seed, rep = args
     N, M = state.N, state.M
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
-    X = rng.standard_normal((M, N)) / np.sqrt(N)
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), M, N)
     if kind == "tilde":
         A = (state.t_alpha[:, None] * X).T @ X
         center = state.L_plus_t
     else:
-        d = N / M
-        scale = np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
-        A = scale * (X.T @ X)
-        rd = np.sqrt(d)
-        center = scale * (1.0 + rd) ** 2 / d
+        A = null_w_scale(N / M) * (X.T @ X)
+        center = null_case_edge(N / M)
     lam = np.linalg.eigvalsh(A)
     vals = np.array([np.mean(1.0 / (lam - (x + center + 1j * eta))).imag for x in xs])
     return N * np.dot(weights, vals)
@@ -416,16 +396,9 @@ def comparison_functional(spec: PopulationSpectrum, N: int, E1: float, E2: float
     u, w = np.polynomial.legendre.leggauss(n_quad)
     xs = 0.5 * (u + 1.0) * (E2 - E1) + E1
     weights = 0.5 * (E2 - E1) * w
-    out = {}
-    for kind in ("tilde", "null"):
-        jobs = [(kind, state, xs, weights, eta, seed + (0 if kind == "tilde" else 1), r)
-                for r in range(reps)]
-        if threads <= 1:
-            vals = [_functional_worker(j) for j in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(_functional_worker, jobs, chunksize=max(1, reps // (8 * threads))))
-        out[kind] = np.array(vals)
-    gap = float(out["tilde"].mean() - out["null"].mean())
-    ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (out["tilde"], out["null"]), seed)
-    return float(out["tilde"].mean()), float(out["null"].mean()), gap, ci
+    jobs = [(kind, state, xs, weights, eta, seed + (0 if kind == "tilde" else 1), r)
+            for kind in ("tilde", "null") for r in range(reps)]
+    tilde, null = np.array(map_replicates(_functional_worker, jobs, threads)).reshape(2, reps)
+    gap = float(tilde.mean() - null.mean())
+    ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
+    return float(tilde.mean()), float(null.mean()), gap, ci

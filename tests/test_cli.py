@@ -148,6 +148,19 @@ def test_flow_verify_manifest(workspace):
     assert "summary:" in proc.stdout
 
 
+def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    (tmp_path / "checks.json").write_text(json.dumps(
+        [{"check": "optical", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": 1}]))
+    code = cli.main(["flow-verify", "--manifest", str(tmp_path / "checks.json"),
+                     "--threads", "1", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith("convergence failure: replicate 0: Eigenvalues")
+
+
 def test_detect_command_and_exit(workspace):
     cwd, cache = workspace
     proc = run_cli(["detect", "--spectrum", "identity:M=100,N=100", "--table-N", "100",

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit.ensemble import null_case_edge, replicate_rng
-from edgekit.errors import DomainRejectionError
+from edgekit.ensemble import map_replicates, null_case_edge, replicate_rng
+from edgekit.errors import ConvergenceError, DomainRejectionError
 
 from oracles import charpoly_eigs_3x3, dense_goe_top, inverse_transform_samples, svd_squared
 
@@ -47,6 +49,31 @@ def test_stream_determinism_and_order_independence():
     _ = replicate_rng(42, 0).standard_normal(10)
     c = ek.sample_data_matrix(config, 5)
     assert np.array_equal(a, c)
+
+
+def _fails_on_job_3(job):
+    index, error = job
+    if index == 3:
+        raise error("no convergence")
+    return index
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("error", [ConvergenceError, np.linalg.LinAlgError])
+def test_map_replicates_names_failing_replicate(threads, error):
+    healthy = [(i, error) for i in range(20) if i != 3]
+    assert map_replicates(_fails_on_job_3, healthy, threads) == [i for i, _ in healthy]
+    with pytest.raises(ConvergenceError) as info:
+        map_replicates(_fails_on_job_3, [(i, error) for i in range(8)], threads)
+    assert str(info.value).startswith("replicate 3: no convergence")
+
+
+def test_one_replicate_engine():
+    # every random stream and every worker pool is built in one place
+    src = Path(ek.__file__).parent
+    for token in ("Philox(", "ProcessPoolExecutor("):
+        counts = {path.name: path.read_text().count(token) for path in sorted(src.glob("*.py"))}
+        assert {name: n for name, n in counts.items() if n} == {"ensemble.py": 1}, token
 
 
 def test_top_eigenvalues_zero_matrix():

@@ -175,11 +175,54 @@ def test_decoupling_far_regime_scale_collapse():
     assert far.leading < edge.leading / 3.0
 
 
-def test_decoupling_threads_deterministic():
-    state = ek.flow_state(ek.identity_spectrum(80, 80), 0.0)
-    a = ek.decoupling_residual(state, reps=60, seed=5, threads=1)
-    b = ek.decoupling_residual(state, reps=60, seed=5, threads=2)
-    assert a.residual == b.residual and a.leading == b.leading
+def _twopoint_state(n):
+    return ek.flow_state(ek.two_point_spectrum(1.0, 2.0, 0.5, n, n), 0.5)
+
+
+def _compare_window(n, reps, seed, threads):
+    w = 0.4 * n ** (-2.0 / 3.0 + 0.05)
+    spec = ek.two_point_spectrum(1.0, 2.0, 0.5, n, n)
+    return ek.comparison_functional(spec, n, -w, w, reps=reps, seed=seed, threads=threads)
+
+
+_THREAD_CASES = {
+    "optical_residual": lambda th: ek.optical_residual(_twopoint_state(60), reps=40, seed=5, threads=th),
+    "cancellation_check": lambda th: ek.cancellation_check(_twopoint_state(60), reps=40, seed=5,
+                                                           threads=th),
+    "decoupling_residual": lambda th: ek.decoupling_residual(
+        ek.flow_state(ek.identity_spectrum(80, 80), 0.0), reps=60, seed=5, threads=th),
+    "comparison_functional": lambda th: _compare_window(60, 30, 5, th),
+    "null_reference_W": lambda th: ek.null_reference_W(60, 40, 30, seed=5, k=2, threads=th).raw.tolist(),
+    "sample_goe_top": lambda th: ek.sample_goe_top(60, 3, 30, seed=5, threads=th).raw.tolist(),
+}
+
+
+@pytest.mark.parametrize("name", list(_THREAD_CASES))
+def test_threads_deterministic(name):
+    # every replicate owns its stream, so the worker count cannot change a bit
+    assert _THREAD_CASES[name](1) == _THREAD_CASES[name](2)
+
+
+# Recorded at commit 5e6f55a, before green drew through ensemble's replicate
+# engine; a change to any stream key moves these by O(ci).
+_PINNED_REPORTS = {
+    "optical": (0.0029406705525280357, 0.03142326641605511, 0.0022060191427939065),
+    "cancellation": (0.010756481004424357, 0.5052076249421039, 0.00839127767137808),
+    "decoupling": (0.0001763087801670178, 0.009309952353021985, 0.0004122525692094617),
+}
+_PINNED_COMPARISON = (0.7711594210898148, 0.7269392608651138, 0.04422016022470099,
+                      0.04830715013647728)
+
+
+def test_stream_layout_pinned():
+    state = _twopoint_state(80)
+    checks = {"optical": ek.optical_residual, "cancellation": ek.cancellation_check,
+              "decoupling": ek.decoupling_residual}
+    for name, check in checks.items():
+        report = check(state, reps=120, seed=11)
+        assert (report.residual, report.leading, report.ci) == pytest.approx(
+            _PINNED_REPORTS[name], rel=1e-9), name
+    assert _compare_window(80, 120, 13, 1) == pytest.approx(_PINNED_COMPARISON, rel=1e-9)
 
 
 def test_comparison_functional_identity_null():
