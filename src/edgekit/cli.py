@@ -25,7 +25,7 @@ from .ensemble import (EnsembleConfig, EntryDistribution, ks_statistic, run_mont
                        sample_data_matrix, top_eigenvalues)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import coefficient_identities_check, flow_state, zdot_check
-from .population import edge_params, load_spectrum
+from .population import SUBCRITICAL_MARGIN_DEFAULT, edge_params, load_spectrum
 from .stieltjes import density
 from .tracy_widom import cached_tw_table
 
@@ -99,10 +99,7 @@ def cmd_tw_table(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = load_spectrum(args.spectrum)
-    if args.N is not None and args.N != spec.N:
-        raise DomainRejectionError(f"--N {args.N} disagrees with the spectrum's N={spec.N}")
-    config = EnsembleConfig(N=spec.N, M=spec.M, spectrum=spec,
-                            entries=EntryDistribution(kind=args.entries),
+    config = EnsembleConfig(spec, entries=EntryDistribution(kind=args.entries),
                             replicates=args.reps, k=args.k, seed=args.seed)
     samples = run_monte_carlo(config, threads=args.threads)
     out = _outdir(args)
@@ -164,7 +161,7 @@ def cmd_detect(args) -> int:
     table_N = args.table_N if args.table_N is not None else spec.N
     table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed, threads=args.threads)
     table_id = f"goe_R_N{table_N}_n{args.null_reps}_seed{args.table_seed}"
-    config = EnsembleConfig(N=spec.N, M=spec.M, spectrum=spec, replicates=1, k=3, seed=args.seed)
+    config = EnsembleConfig(spec, replicates=1, k=3, seed=args.seed)
     mus = top_eigenvalues(sample_data_matrix(config, 0), spec, 3)
     result = detect_mod.detect(mus[0], mus[1], mus[2], table, table_id=table_id)
     out = _outdir(args)
@@ -177,13 +174,11 @@ def cmd_detect(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = load_spectrum(args.spectrum)
-    if args.N is not None and args.N != spec.N:
-        raise DomainRejectionError(f"--N {args.N} disagrees with the spectrum's N={spec.N}")
     window = spec.N ** (-2.0 / 3.0 + args.eta_exp)
     e1 = args.E1 if args.E1 is not None else -0.5 * window
     e2 = args.E2 if args.E2 is not None else 0.5 * window
     mean_q, mean_w, gap, ci = green.comparison_functional(
-        spec, spec.N, e1, e2, args.reps, args.seed, eps=args.eta_exp, threads=args.threads)
+        spec, e1, e2, args.reps, args.seed, eps=args.eta_exp, threads=args.threads)
     out = _outdir(args)
     payload = {"mean_Q": mean_q, "mean_W": mean_w, "gap": gap, "ci": ci, "E1": e1, "E2": e2}
     (out / "compare.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -222,7 +217,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("edge", help="deterministic edge quantities of a spectrum")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--margin-threshold", type=float, default=1e-6,
+    p.add_argument("--margin-threshold", type=float, default=SUBCRITICAL_MARGIN_DEFAULT,
                    help="subcriticality margin required by edge workflows")
     p.add_argument("--out", default="edgekit_out")
     p.set_defaults(func=cmd_edge)
@@ -248,7 +243,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--entries", default="gaussian", choices=["gaussian", "rademacher", "skewed-two-point"])
-    p.add_argument("--N", type=int, default=None, help="expected N (validated against the spectrum)")
     p.add_argument("--ks", action="store_true", help="emit a KS report against the cached F1 table")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -269,7 +263,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="Green-function comparison functional Q-tilde vs null")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--N", type=int, default=None, help="expected N (validated against the spectrum)")
     p.add_argument("--E1", type=float, default=None)
     p.add_argument("--E2", type=float, default=None)
     p.add_argument("--reps", type=int, default=200)

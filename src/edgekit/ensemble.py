@@ -5,7 +5,7 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 `replicate_rng(seed, index)`.  The stream keys (seed, index) are:
 
     replicate r of a run or of a GOE / null table    (seed, r)
-    compare, null-reference draw r                   (seed + 1, r)
+    compare, null-reference draw r                   (seed, 2^62 + r)
     bootstrap of a flow check or of compare          (seed, 2^63 + 1)
     decoupling, frozen base b                        (seed, 2^63 + 1000 + b)
     decoupling, resampled row r of base b            (seed, (b << 32) + r)
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainRejectionError
-from .population import EdgeParams, PopulationSpectrum, edge_params
+from .flow import flow_state
+from .population import EdgeParams, PopulationSpectrum, edge_params, identity_spectrum
 from .stieltjes import solve_mfc
 
 ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
@@ -37,14 +38,11 @@ class EntryDistribution:
     """Law of sqrt(N) x_ij: mean 0, variance 1, subexponential tail."""
 
     kind: str = "gaussian"
-    vartheta: float = 2.0          # informational tail exponent tag
     p: float = 0.8                 # skewed-two-point only: weight of the positive atom
 
     def __post_init__(self):
         if self.kind not in ENTRY_KINDS:
             raise DomainRejectionError(f"unknown entry distribution {self.kind!r}")
-        if self.vartheta <= 0:
-            raise DomainRejectionError("vartheta must be positive")
         mean, var = self.closed_form_moments()
         if abs(mean) > 1e-14 or abs(var - 1.0) > 1e-14:
             raise DomainRejectionError(f"entry law must be standardized, got mean={mean}, var={var}")
@@ -82,30 +80,23 @@ GAUSSIAN = EntryDistribution()  # draws every Gaussian data matrix in edgekit, g
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    N: int
-    M: int
-    spectrum: PopulationSpectrum
+    spectrum: PopulationSpectrum  # carries the dimensions M and N
     entries: EntryDistribution = GAUSSIAN
     replicates: int = 100
     k: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.spectrum.M != self.M or self.spectrum.N != self.N:
-            raise DomainRejectionError(
-                f"spectrum dimensions (M={self.spectrum.M}, N={self.spectrum.N}) "
-                f"disagree with config (M={self.M}, N={self.N})")
-        if not (1 <= self.k <= min(self.M, self.N)):
+        if not (1 <= self.k <= min(self.spectrum.M, self.spectrum.N)):
             raise DomainRejectionError(f"k={self.k} must lie in [1, min(M, N)]")
         if self.replicates < 1:
             raise DomainRejectionError("replicates must be positive")
 
     def to_json(self) -> str:
         return json.dumps({
-            "N": self.N, "M": self.M,
+            "N": self.spectrum.N, "M": self.spectrum.M,
             "spectrum_eigenvalues": [repr(float(v)) for v in self.spectrum.eigenvalues],
-            "entries": {"kind": self.entries.kind, "vartheta": self.entries.vartheta,
-                        "p": self.entries.p},
+            "entries": {"kind": self.entries.kind, "p": self.entries.p},
             "replicates": self.replicates, "k": self.k, "seed": self.seed,
         })
 
@@ -114,8 +105,8 @@ class EnsembleConfig:
         data = json.loads(text)
         spectrum = PopulationSpectrum(
             np.array([float(v) for v in data["spectrum_eigenvalues"]]), data["M"], data["N"])
-        entries = EntryDistribution(**data["entries"])
-        return EnsembleConfig(N=data["N"], M=data["M"], spectrum=spectrum, entries=entries,
+        entries = EntryDistribution(kind=data["entries"]["kind"], p=data["entries"]["p"])
+        return EnsembleConfig(spectrum=spectrum, entries=entries,
                               replicates=data["replicates"], k=data["k"], seed=data["seed"])
 
 
@@ -150,6 +141,8 @@ class KsReport:
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
     """The counter-based stream with key (seed, index); see the module docstring for the layout."""
+    if not 0 <= seed < 2 ** 64:
+        raise DomainRejectionError(f"seed {seed} outside [0, 2^64)")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -178,7 +171,7 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
 
 def sample_data_matrix(config: EnsembleConfig, replicate_index: int) -> np.ndarray:
     rng = replicate_rng(config.seed, replicate_index)
-    return config.entries.sample(rng, config.M, config.N)
+    return config.entries.sample(rng, config.spectrum.M, config.spectrum.N)
 
 
 def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
@@ -241,7 +234,7 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
         edge = edge_params(config.spectrum, require_subcritical=True)
     jobs = [(config, r) for r in range(config.replicates)]
     raw = np.array(map_replicates(_covariance_worker, jobs, threads))
-    return EdgeSamples(rows=rescale_edge(raw, edge, config.N), raw=raw)
+    return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 
 def _goe_worker(args):
@@ -270,33 +263,16 @@ def sample_goe_top(N: int, k: int, replicates: int, seed: int, threads: int = 1)
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - 2.0), raw=raw)
 
 
-def null_w_scale(d: float) -> float:
-    """Scale sqrt(d) (1+sqrt(d))^{-4/3} of the null matrix W = scale * X^* X."""
-    return np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
-
-
-def null_case_edge(d: float) -> float:
-    """Upper edge M_plus of the rescaled null law: gamma(inf) * (1+sqrt(d))^2 / d."""
-    return null_w_scale(d) * (1.0 + np.sqrt(d)) ** 2 / d
-
-
-def _null_w_worker(args):
-    N, M, k, seed, rep = args
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), M, N)
-    scale = null_w_scale(N / M)
-    if M <= N:
-        A = scale * (X @ X.T)
-    else:
-        A = scale * (X.T @ X)
-    return np.linalg.eigvalsh(A)[-k:][::-1]
-
-
 def null_reference_W(N: int, M: int, replicates: int, seed: int, k: int = 1,
                      threads: int = 1) -> EdgeSamples:
-    """Rescaled null-case samples N^{2/3} (mu_1^W - M_plus) for W = sqrt(d)(1+sqrt(d))^{-4/3} X^* X."""
-    jobs = [(N, M, k, seed, r) for r in range(replicates)]
-    raw = np.array(map_replicates(_null_w_worker, jobs, threads))
-    return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - null_case_edge(N / M)), raw=raw)
+    """Rescaled null-case samples N^{2/3} (mu - M_plus) of W = X^* T X.
+
+    T is the renormalized identity population, the flow's weights t_alpha at
+    Sigma = I: its scaling factor is 1 and its edge is M_plus, so the general
+    ensemble's rescaling gamma0 N^{2/3} (mu - E_plus) is the null one.
+    """
+    null = flow_state(identity_spectrum(M, N), 0.0).as_population()
+    return run_monte_carlo(EnsembleConfig(null, replicates=replicates, k=k, seed=seed), threads)
 
 
 def ks_statistic(samples: np.ndarray, table_grid: np.ndarray, cdf_column: np.ndarray,

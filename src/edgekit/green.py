@@ -29,15 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, map_replicates, null_case_edge, null_w_scale, replicate_rng
+from .ensemble import GAUSSIAN, map_replicates, replicate_rng
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
-from .population import PopulationSpectrum
+from .population import PopulationSpectrum, identity_spectrum
 from .stieltjes import solve_mfc
 
 _AUX_STREAM = 2 ** 63  # replicate-index offset reserved for auxiliary draws
+_NULL_STREAM = 2 ** 62  # replicate-index offset of the comparison's null-reference draws
 DEFAULT_EPS = 0.05
 _BOOTSTRAP = 1000
+_QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +123,41 @@ def ward_check(lin: Linearization) -> float:
 # observables
 
 
+def _x3_x4(mt: complex, X22: complex, X33: complex, X44: complex, X44p: complex):
+    """X3 = 2(X32 + X33) and X4 = 3(X42 + 2 X43 + 4 X44 + X44'), with mt = m + tau."""
+    X3 = 2.0 * (mt * X22 + X33)
+    X4 = 3.0 * (mt ** 2 * X22 + 2.0 * mt * X33 + 4.0 * X44 + X44p)
+    return X3, X4
+
+
 @dataclass(frozen=True)
 class GreenObservables:
     m: complex
     m_tilde: complex
+    tau: float
     X22: complex
-    X32: complex
     X33: complex
-    X42: complex
-    X43: complex
     X44: complex
     X44p: complex
     psi: float
 
+    @property
+    def X32(self) -> complex:
+        return (self.m + self.tau) * self.X22
+
+    @property
+    def X42(self) -> complex:
+        return (self.m + self.tau) ** 2 * self.X22
+
+    @property
+    def X43(self) -> complex:
+        return (self.m + self.tau) * self.X33
+
     def X3(self) -> complex:
-        return 2.0 * (self.X32 + self.X33)
+        return _x3_x4(self.m + self.tau, self.X22, self.X33, self.X44, self.X44p)[0]
 
     def X4(self) -> complex:
-        return 3.0 * (self.X42 + 2.0 * self.X43 + 4.0 * self.X44 + self.X44p)
+        return _x3_x4(self.m + self.tau, self.X22, self.X33, self.X44, self.X44p)[1]
 
 
 def control_parameter(state: FlowState, z: complex) -> float:
@@ -157,7 +176,6 @@ def observables(lin: Linearization, state: FlowState, i: int) -> GreenObservable
     N, M = lin.N, lin.M
     if not (0 <= i < N):
         raise DomainRejectionError(f"Roman index {i} outside [0, {N})")
-    tau = state.tau_t
     X = lin.H[N:, :N]
     G = roman_green(X, lin.t_alpha, lin.z)
     m = complex(np.trace(G) / N)
@@ -169,13 +187,8 @@ def observables(lin: Linearization, state: FlowState, i: int) -> GreenObservable
     X33 = complex(row @ grow / N ** 2)
     X44 = complex(grow @ grow / N ** 3)
     X44p = complex(X22 * np.sum(G * G.T) / N ** 2)
-    return GreenObservables(
-        m=m, m_tilde=m_tilde,
-        X22=X22, X32=(m + tau) * X22, X33=X33,
-        X42=(m + tau) ** 2 * X22, X43=(m + tau) * X33,
-        X44=X44, X44p=X44p,
-        psi=control_parameter(state, lin.z),
-    )
+    return GreenObservables(m=m, m_tilde=m_tilde, tau=state.tau_t, X22=X22, X33=X33,
+                            X44=X44, X44p=X44p, psi=control_parameter(state, lin.z))
 
 
 def edge_window_z(state: FlowState, eps: float = DEFAULT_EPS, y: float = 0.0) -> complex:
@@ -209,10 +222,7 @@ def _x3_x4_worker(args):
     Q = (state.t_alpha[:, None] * X).T @ X
     lam = np.linalg.eigvalsh(Q)
     m, X22, X33, X44, X44p = _avg_observables(lam, z, state.tau_t, state.N)
-    mt = m + state.tau_t
-    X3 = 2.0 * (mt * X22 + X33)
-    X4 = 3.0 * (mt ** 2 * X22 + 2.0 * mt * X33 + 4.0 * X44 + X44p)
-    return X3, X4
+    return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
 
 
 def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int = 1):
@@ -308,20 +318,18 @@ def _decoupling_worker(args):
     w = 1.0 / (lam - z)
     N = state.N
     m, X22, X33, X44, X44p = _avg_observables(lam, z, state.tau_t, N)
-    mt = m + state.tau_t
+    X3, X4 = _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
     ta = state.t_alpha[alpha]
     c = 1.0 / (1.0 / ta - state.tau_t)
     # index-averaged (1/N) sum_i G_{i alpha} G_{alpha i} = (t_a^2/N) u.u with u = G X^*[:, alpha]
     u = V @ (w * (V.T @ X[alpha, :]))
     lhs = ta ** 2 * (u @ u) / N
-    rhs = (c ** 2 * X22 - 2.0 * c ** 3 * (mt * X22 + X33)
-           + c ** 4 * (3.0 * mt ** 2 * X22 + 6.0 * mt * X33 + 12.0 * X44 + 3.0 * X44p))
+    rhs = c ** 2 * X22 - c ** 3 * X3 + c ** 4 * X4
     return lhs, rhs, c ** 2 * X22
 
 
-def decoupling_residual(state: FlowState, reps: int, seed: int, alpha: int | None = None,
-                        bases: int | None = None, eps: float = DEFAULT_EPS, threads: int = 1,
-                        eta_override: float | None = None) -> CheckReport:
+def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
+                        threads: int = 1, eta_override: float | None = None) -> CheckReport:
     """Partial-expectation test of the decoupling expansion at one Greek index.
 
     E_alpha is estimated by resampling row alpha of X while freezing every
@@ -331,21 +339,17 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, alpha: int | Non
     (edge-resonant) corner at desk scale.  Both sides are averaged over the
     Roman index.  leading is the magnitude of the order-Psi^2 term.
 
-    alpha defaults to the most stable Greek branch (largest gap
-    t_alpha^{-1} - tau), where the expansion parameter is smallest.
+    alpha is the most stable Greek branch (largest gap t_alpha^{-1} - tau),
+    where the expansion parameter is smallest.
     """
-    if alpha is None:
-        alpha = int(np.argmin(state.t_alpha))
-    if not (0 <= alpha < state.M):
-        raise DomainRejectionError(f"Greek index {alpha} outside [0, {state.M})")
-    if bases is None:
-        # between-base variance dominates the estimate, so spread the budget
-        # over many frozen configurations
-        bases = int(np.clip(reps // 25, 10, 80))
+    alpha = int(np.argmin(state.t_alpha))
+    # between-base variance dominates the estimate, so spread the budget over
+    # many frozen configurations
+    bases = int(np.clip(reps // 25, 10, 80))
     z = edge_window_z(state, eps)
     if eta_override is not None:
         z = complex(z.real, eta_override)
-    per_base = max(1, reps // max(bases, 1))
+    per_base = max(1, reps // bases)
     jobs = [(state, z, seed, b, r, alpha) for b in range(bases) for r in range(per_base)]
     arr = np.array(map_replicates(_decoupling_worker, jobs, threads), dtype=complex)
     arr = arr.reshape(bases, per_base, 3)
@@ -362,42 +366,35 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, alpha: int | Non
 
 
 def _functional_worker(args):
-    kind, state, xs, weights, eta, seed, rep = args
-    N, M = state.N, state.M
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), M, N)
-    if kind == "tilde":
-        A = (state.t_alpha[:, None] * X).T @ X
-        center = state.L_plus_t
-    else:
-        A = null_w_scale(N / M) * (X.T @ X)
-        center = null_case_edge(N / M)
-    lam = np.linalg.eigvalsh(A)
-    vals = np.array([np.mean(1.0 / (lam - (x + center + 1j * eta))).imag for x in xs])
-    return N * np.dot(weights, vals)
+    state, xs, weights, eta, seed, rep = args
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N)
+    lam = np.linalg.eigvalsh((state.t_alpha[:, None] * X).T @ X)
+    vals = np.array([np.mean(1.0 / (lam - (x + state.L_plus_t + 1j * eta))).imag for x in xs])
+    return state.N * np.dot(weights, vals)
 
 
-def comparison_functional(spec: PopulationSpectrum, N: int, E1: float, E2: float,
-                          reps: int, seed: int, eps: float = DEFAULT_EPS,
-                          n_quad: int = 15, threads: int = 1):
+def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: int, seed: int,
+                          eps: float = DEFAULT_EPS, threads: int = 1):
     """Monte Carlo means of N int_{E1}^{E2} Im m(x + edge + i eta) dx for the
-    renormalized covariance and for the null reference, with their gap and a
+    renormalized covariance X^* T X and for the null reference, the same
+    functional of the renormalized identity population, with their gap and a
     bootstrap error bar (the smooth-function comparison at F = identity)."""
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")
-    state = flow_state(spec, 0.0)
-    if state.N != N or spec.N != N:
-        raise DomainRejectionError("spectrum dimensions must match the requested N")
+    tilde_state = flow_state(spec, 0.0)
+    N = spec.N
     window = N ** (-2.0 / 3.0 + eps)
     if max(abs(E1), abs(E2)) > window * (1.0 + 1e-12):
         raise DomainRejectionError(f"|E1|, |E2| must stay within N^(-2/3+eps) = {window:.3e}")
     eta = N ** (-2.0 / 3.0 - eps)
     if E1 == E2:
         return 0.0, 0.0, 0.0, 0.0
-    u, w = np.polynomial.legendre.leggauss(n_quad)
+    u, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
     xs = 0.5 * (u + 1.0) * (E2 - E1) + E1
     weights = 0.5 * (E2 - E1) * w
-    jobs = [(kind, state, xs, weights, eta, seed + (0 if kind == "tilde" else 1), r)
-            for kind in ("tilde", "null") for r in range(reps)]
+    null_state = flow_state(identity_spectrum(spec.M, N), 0.0)
+    jobs = ([(tilde_state, xs, weights, eta, seed, r) for r in range(reps)]
+            + [(null_state, xs, weights, eta, seed, _NULL_STREAM + r) for r in range(reps)])
     tilde, null = np.array(map_replicates(_functional_worker, jobs, threads)).reshape(2, reps)
     gap = float(tilde.mean() - null.mean())
     ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)

@@ -67,10 +67,6 @@ class PopulationSpectrum:
         """Integral of f against rho-hat, i.e. (1/M) sum_j f(sigma_j)."""
         return float(np.sum(self._weights * f(self._values)))
 
-    def cmoment(self, f) -> complex:
-        """Complex-valued rho-hat integral (for Stieltjes-transform right sides)."""
-        return complex(np.sum(self._weights * f(self._values)))
-
     def scaled(self, c: float) -> "PopulationSpectrum":
         """Spectrum of c*Sigma for c > 0."""
         if c <= 0:

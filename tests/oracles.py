@@ -77,6 +77,25 @@ def dense_goe_top(N: int, k: int, replicates: int, seed: int) -> np.ndarray:
     return rows
 
 
+def null_w_top(N: int, M: int, k: int, replicates: int, seed: int):
+    """Closed-form null ensemble: (rows, raw) of W = sqrt(d) (1+sqrt(d))^{-4/3} X^* X.
+
+    raw holds the top k eigenvalues (squared singular values times the scale)
+    and rows = N^{2/3} (raw - M_plus) with M_plus = (1+sqrt(d))^2 / d times the
+    scale.  X comes from the replicate streams (seed, r), so rows pair up with
+    edgekit's null reference draw for draw.
+    """
+    from edgekit.ensemble import replicate_rng
+
+    d = N / M
+    scale = np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
+    raw = np.empty((replicates, k))
+    for r in range(replicates):
+        X = replicate_rng(seed, r).standard_normal((M, N)) / np.sqrt(N)
+        raw[r] = scale * svd_squared(X)[:k]
+    return N ** (2.0 / 3.0) * (raw - scale * (1.0 + np.sqrt(d)) ** 2 / d), raw
+
+
 def loop_observables(G: np.ndarray, i: int, m: complex, tau: float):
     """Explicit-loop X observables (O(N^3)/O(N^4) sums; N <= 8 only)."""
     N = G.shape[0]

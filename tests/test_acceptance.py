@@ -108,8 +108,7 @@ def test_c04_tracy_widom_cross_validation(capsys, hm_solution):
 
 def _main_theorem_ks(kind: str, seed: int, tw) -> float:
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 400, 400)
-    config = ek.EnsembleConfig(N=400, M=400, spectrum=spec,
-                               entries=ek.EntryDistribution(kind=kind),
+    config = ek.EnsembleConfig(spec, entries=ek.EntryDistribution(kind=kind),
                                replicates=1000, k=1, seed=seed)
     samples = ek.run_monte_carlo(config)
     return ek.ks_statistic(np.sort(samples.column(0)), tw.grid, tw.F1).statistic
@@ -136,7 +135,7 @@ def test_c06_joint_top3_vs_goe(capsys):
     N, reps = 400, 1000
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, N, N)
     edge = ek.edge_params(spec)
-    config = ek.EnsembleConfig(N=N, M=N, spectrum=spec, replicates=reps, k=3, seed=SEED + 2)
+    config = ek.EnsembleConfig(spec, replicates=reps, k=3, seed=SEED + 2)
     q = ek.run_monte_carlo(config, edge=edge)
     goe = ek.sample_goe_top(N, 3, reps, seed=SEED + 3)
     stats = [ek.two_sample_ks(q.rows[:, i], goe.rows[:, i]) for i in range(3)]
@@ -242,8 +241,7 @@ def test_c10_detection_uniformity(capsys):
     spec = ek.identity_spectrum(N, N)
     pvals = np.empty(trials)
     for trial in range(trials):
-        config = ek.EnsembleConfig(N=N, M=N, spectrum=spec, replicates=trials, k=3,
-                                   seed=SEED + 7)
+        config = ek.EnsembleConfig(spec, replicates=trials, k=3, seed=SEED + 7)
         mus = ek.top_eigenvalues(ek.sample_data_matrix(config, trial), spec, 3)
         pvals[trial] = ek.p_value(ek.r_statistic(mus[0], mus[1], mus[2]), table)
     x = np.sort(pvals)

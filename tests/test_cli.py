@@ -209,3 +209,32 @@ def test_manifest_rerun_reproduces(workspace):
     proc = run_cli(["rerun", "redo_manifest.json"], cache, cwd)
     assert proc.returncode == 0, proc.stderr
     assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
+
+
+def test_parent_era_manifest_with_null_n_reruns(workspace):
+    # manifests written while simulate still had --N carry "N": null; rerun skips it
+    cwd, cache = workspace
+    proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
+                    "--threads", "1", "--out", "orig"], cache, cwd)
+    assert proc.returncode == 0, proc.stderr
+    manifest = {"command": "simulate", "out": str(cwd / "redo"), "seed": 11,
+                "parameters": {"N": None, "entries": "gaussian", "k": 1, "ks": False, "reps": 25,
+                               "seed": 11, "spectrum": "identity:M=90,N=90"}}
+    (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    proc = run_cli(["rerun", "old_manifest.json"], cache, cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
+
+
+def test_negative_seed_is_domain_rejection(workspace):
+    cwd, cache = workspace
+    (cwd / "checks.json").write_text(json.dumps(
+        [{"check": "optical", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": -1}]))
+    for args in (["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5", "--seed", "-1"],
+                 ["detect", "--spectrum", "identity:M=20,N=20", "--null-reps", "1000",
+                  "--table-seed", "-1"],
+                 ["flow-verify", "--manifest", "checks.json"]):
+        proc = run_cli(args + ["--threads", "1", "--out", "out"], cache, cwd)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("domain rejection: seed -1 outside"), proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -69,7 +69,7 @@ def test_null_p_values_uniform(tw_reference):
     spec = ek.identity_spectrum(N, N)
     pvals = np.empty(trials)
     for trial in range(trials):
-        config = ek.EnsembleConfig(N=N, M=N, spectrum=spec, replicates=trials, k=3, seed=13)
+        config = ek.EnsembleConfig(spec, replicates=trials, k=3, seed=13)
         mus = ek.top_eigenvalues(ek.sample_data_matrix(config, trial), spec, 3)
         pvals[trial] = detect(mus[0], mus[1], mus[2], table).p_value
     x = np.sort(pvals)
@@ -84,7 +84,7 @@ def test_spike_power_smoke():
     spiked = ek.PopulationSpectrum(np.r_[4.0, np.ones(N - 1)], N, N)
     pvals = []
     for trial in range(60):
-        config = ek.EnsembleConfig(N=N, M=N, spectrum=spiked, replicates=60, k=3, seed=17)
+        config = ek.EnsembleConfig(spiked, replicates=60, k=3, seed=17)
         mus = ek.top_eigenvalues(ek.sample_data_matrix(config, trial), spiked, 3)
         pvals.append(detect(mus[0], mus[1], mus[2], table).p_value)
     assert np.median(pvals) < 0.05

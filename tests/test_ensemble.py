@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit.ensemble import map_replicates, null_case_edge, replicate_rng
+from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
-from oracles import charpoly_eigs_3x3, dense_goe_top, inverse_transform_samples, svd_squared
+from oracles import (charpoly_eigs_3x3, dense_goe_top, inverse_transform_samples, null_w_top,
+                     svd_squared)
 
 
 def _config(spec, **kw):
-    defaults = dict(N=spec.N, M=spec.M, spectrum=spec, replicates=10, k=1, seed=0)
+    defaults = dict(spectrum=spec, replicates=10, k=1, seed=0)
     defaults.update(kw)
     return ek.EnsembleConfig(**defaults)
 
@@ -49,6 +50,14 @@ def test_stream_determinism_and_order_independence():
     _ = replicate_rng(42, 0).standard_normal(10)
     c = ek.sample_data_matrix(config, 5)
     assert np.array_equal(a, c)
+
+
+def test_stream_seed_range():
+    # the Philox key word is unsigned 64-bit: anything outside is a domain error
+    replicate_rng(2 ** 64 - 1, 0)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(DomainRejectionError):
+            replicate_rng(seed, 0)
 
 
 def _fails_on_job_3(job):
@@ -187,8 +196,20 @@ def test_goe_vs_f1(tw_reference):
 
 
 def test_null_reference_edge_value():
-    assert null_case_edge(1.0) == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-13)
-    assert null_case_edge(1.0) == pytest.approx(2.0 ** (-4.0 / 3.0) * 4.0, abs=1e-13)
+    # the null population is the renormalized identity: unit scaling factor, edge M_plus
+    null = ek.flow_state(ek.identity_spectrum(100, 100), 0.0).as_population()
+    edge = ek.edge_params(null)
+    assert edge.E_plus == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-13)
+    assert edge.E_plus == pytest.approx(2.0 ** (-4.0 / 3.0) * 4.0, abs=1e-13)
+    assert edge.gamma0 == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("M, N", [(80, 40), (60, 60), (40, 80)])  # d = 1/2, 1, 2
+def test_null_reference_matches_closed_form(M, N):
+    w = ek.null_reference_W(N, M, 20, seed=3, k=2)
+    rows, raw = null_w_top(N, M, 2, 20, seed=3)
+    assert np.max(np.abs(w.rows - rows)) <= 1e-12
+    assert np.max(np.abs(w.raw - raw) / raw) <= 1e-12
 
 
 def test_null_reference_matches_identity_monte_carlo(tw_reference):
@@ -283,7 +304,7 @@ def test_local_law_probe_edge_bands():
     hits = 0
     ratios = []
     for rep in range(100):
-        X = ek.sample_data_matrix(ek.EnsembleConfig(N=N, M=N, spectrum=spec, replicates=100, seed=77), rep)
+        X = ek.sample_data_matrix(ek.EnsembleConfig(spec, replicates=100, seed=77), rep)
         max_dev, avg_dev, psi = ek.local_law_probe(X, spec, z)
         hits += avg_dev <= 5.0 / (N * eta)
         ratios.append(max_dev / psi)
@@ -299,7 +320,7 @@ def test_local_law_psi_scaling():
         z = 4.0 + 1j * eta
         bad = 0
         for rep in range(20):
-            X = ek.sample_data_matrix(ek.EnsembleConfig(N=N, M=N, spectrum=spec, replicates=20, seed=78), rep)
+            X = ek.sample_data_matrix(ek.EnsembleConfig(spec, replicates=20, seed=78), rep)
             max_dev, _, psi = ek.local_law_probe(X, spec, z)
             bad += max_dev > 10.0 * psi
         assert bad <= 1
@@ -337,8 +358,6 @@ def test_rotation_reduction_two_sample(twopoint200):
 
 def test_config_validation(twopoint200):
     with pytest.raises(DomainRejectionError):
-        ek.EnsembleConfig(N=100, M=200, spectrum=twopoint200, replicates=5, k=1, seed=0)
-    with pytest.raises(DomainRejectionError):
         _config(twopoint200, k=300)
     with pytest.raises(DomainRejectionError):
         _config(twopoint200, replicates=0)
@@ -359,7 +378,7 @@ def test_config_json_roundtrip(twopoint200):
     config = _config(twopoint200, replicates=7, k=2, seed=9,
                      entries=ek.EntryDistribution(kind="skewed-two-point", p=0.8))
     back = ek.EnsembleConfig.from_json(config.to_json())
-    assert (back.N, back.M, back.replicates, back.k, back.seed) == (200, 200, 7, 2, 9)
+    assert (back.spectrum.N, back.spectrum.M, back.replicates, back.k, back.seed) == (200, 200, 7, 2, 9)
     assert back.entries == config.entries
     assert np.array_equal(back.spectrum.eigenvalues, config.spectrum.eigenvalues)
     # derived samples are bit-identical

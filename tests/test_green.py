@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import edgekit as ek
+from edgekit import green
+from edgekit.ensemble import replicate_rng
 from edgekit.errors import DomainRejectionError
 from edgekit.green import edge_window_z, roman_green
 
@@ -182,7 +184,7 @@ def _twopoint_state(n):
 def _compare_window(n, reps, seed, threads):
     w = 0.4 * n ** (-2.0 / 3.0 + 0.05)
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, n, n)
-    return ek.comparison_functional(spec, n, -w, w, reps=reps, seed=seed, threads=threads)
+    return ek.comparison_functional(spec, -w, w, reps=reps, seed=seed, threads=threads)
 
 
 _THREAD_CASES = {
@@ -204,14 +206,16 @@ def test_threads_deterministic(name):
 
 
 # Recorded at commit 5e6f55a, before green drew through ensemble's replicate
-# engine; a change to any stream key moves these by O(ci).
+# engine; a change to any stream key moves these by O(ci).  The comparison was
+# re-recorded when its null-reference draws moved from (seed + 1, r), the
+# replicate family of the next seed, to their own family (seed, 2^62 + r).
 _PINNED_REPORTS = {
     "optical": (0.0029406705525280357, 0.03142326641605511, 0.0022060191427939065),
     "cancellation": (0.010756481004424357, 0.5052076249421039, 0.00839127767137808),
     "decoupling": (0.0001763087801670178, 0.009309952353021985, 0.0004122525692094617),
 }
-_PINNED_COMPARISON = (0.7711594210898148, 0.7269392608651138, 0.04422016022470099,
-                      0.04830715013647728)
+_PINNED_COMPARISON = (0.7711594210898148, 0.7063753667267534, 0.06478405436306145,
+                      0.05277502510486765)
 
 
 def test_stream_layout_pinned():
@@ -229,21 +233,41 @@ def test_comparison_functional_identity_null():
     spec = ek.identity_spectrum(150, 150)
     window = 150 ** (-2.0 / 3.0 + 0.05)
     mean_q, mean_w, gap, ci = ek.comparison_functional(
-        spec, 150, -0.4 * window, 0.4 * window, reps=250, seed=61)
+        spec, -0.4 * window, 0.4 * window, reps=250, seed=61)
     # same ensemble in law: gap compatible with zero at 3 sigma
     assert abs(gap) <= 3.0 * ci
     assert mean_q > 0 and mean_w > 0
 
 
+def test_compare_seeds_share_no_draw(monkeypatch):
+    # the null half once drew from (seed + 1, r), the Q-tilde half of the next seed
+    keys = {}
+
+    def recording_rng(seed, index):
+        keys[run].add((seed, index))
+        return replicate_rng(seed, index)
+
+    monkeypatch.setattr(green, "replicate_rng", recording_rng)
+    spec = ek.identity_spectrum(60, 60)
+    w = 0.4 * 60 ** (-2.0 / 3.0 + 0.05)
+    results = {}
+    for run in (9, 10):
+        keys[run] = set()
+        results[run] = ek.comparison_functional(spec, -w, w, reps=40, seed=run)
+    assert len(keys[9]) == len(keys[10]) == 81  # 2 x 40 draws and the bootstrap
+    assert not keys[9] & keys[10]
+    assert results[9][1] != results[10][0]  # mean_W at seed 9, mean_Q at seed 10
+
+
 def test_comparison_functional_degenerate():
     spec = ek.identity_spectrum(100, 100)
-    assert ek.comparison_functional(spec, 100, 0.01, 0.01, reps=10, seed=1) == (0.0, 0.0, 0.0, 0.0)
+    assert ek.comparison_functional(spec, 0.01, 0.01, reps=10, seed=1) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_comparison_functional_window_enforced():
     spec = ek.identity_spectrum(100, 100)
     with pytest.raises(DomainRejectionError):
-        ek.comparison_functional(spec, 100, -0.5, 0.5, reps=10, seed=1)
+        ek.comparison_functional(spec, -0.5, 0.5, reps=10, seed=1)
 
 
 def test_report_json_schema():
