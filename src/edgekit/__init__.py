@@ -14,7 +14,7 @@ from .ensemble import (EdgeSamples, EnsembleConfig, EntryDistribution, KsReport,
 from .flow import FlowState, coefficient_identities_check, flow_state, gamma_dot_check, zdot_check
 from .green import (CheckReport, GreenObservables, Linearization, build_linearization,
                     cancellation_check, comparison_functional, decoupling_residual,
-                    observables, optical_residual, verify_schur, ward_check)
+                    flow_checks, observables, optical_residual, verify_schur, ward_check)
 from .detect import (DetectionResult, calibrate_null, calibrate_null_covariance, p_value,
                      r_statistic)
 

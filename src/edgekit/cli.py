@@ -114,18 +114,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_key(item: dict) -> tuple:
+    """(spectrum, t, reps, seed, eta_exp) of a manifest item, with the defaults filled in."""
+    return (item["spectrum"], float(item.get("t", 0.0)), int(item.get("reps", 2000)),
+            int(item.get("seed", 0)), float(item.get("eta_exp", green.DEFAULT_EPS)))
+
+
 def _run_one_check(item: dict, threads: int) -> green.CheckReport:
-    spec = load_spectrum(item["spectrum"])
-    t = float(item.get("t", 0.0))
-    reps = int(item.get("reps", 2000))
-    seed = int(item.get("seed", 0))
-    eps = float(item.get("eta_exp", green.DEFAULT_EPS))
+    spectrum, t, reps, seed, eps = _check_key(item)
+    spec = load_spectrum(spectrum)
     kind = item["check"]
     state = flow_state(spec, t)
-    if kind == "optical":
-        return green.optical_residual(state, reps, seed, eps=eps, threads=threads)
-    if kind == "cancellation":
-        return green.cancellation_check(state, reps, seed, eps=eps, threads=threads)
     if kind == "decoupling":
         return green.decoupling_residual(state, reps, seed, eps=eps, threads=threads)
     if kind == "sum_rules":
@@ -138,11 +137,28 @@ def _run_one_check(item: dict, threads: int) -> green.CheckReport:
     raise DomainRejectionError(f"unknown check kind {kind!r}")
 
 
+_SHARED_SAMPLE_KINDS = ("optical", "cancellation")  # the order of green.flow_checks' reports
+
+
 def cmd_flow_verify(args) -> int:
     items = json.loads(Path(args.manifest).read_text())
     if not isinstance(items, list):
         raise DomainRejectionError("check manifest must be a JSON list")
-    reports = [_run_one_check(item, args.threads) for item in items]
+    # optical and cancellation items with one key read one sample: the first
+    # such item runs green.flow_checks for its group, the others take its reports
+    groups = {}
+    reports = []
+    for item in items:
+        kind = item["check"]
+        if kind not in _SHARED_SAMPLE_KINDS:
+            reports.append(_run_one_check(item, args.threads))
+            continue
+        key = _check_key(item)
+        if key not in groups:
+            spectrum, t, reps, seed, eps = key
+            groups[key] = green.flow_checks(flow_state(load_spectrum(spectrum), t), reps, seed,
+                                            eps=eps, threads=args.threads)
+        reports.append(groups[key][_SHARED_SAMPLE_KINDS.index(kind)])
     out = _outdir(args)
     payload = [r.to_dict() for r in reports]
     (out / "flow_verify.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -189,8 +205,14 @@ def cmd_compare(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest_path).read_text())
+    params = dict(manifest["parameters"])
+    # simulate and compare once took --N; the spectrum now fixes it
+    legacy_n = params.pop("N", None)
+    if legacy_n is not None and legacy_n != load_spectrum(params["spectrum"]).N:
+        raise DomainRejectionError(
+            f"manifest parameter N={legacy_n} differs from the N of spectrum {params['spectrum']!r}")
     argv = [manifest["command"]]
-    for key, value in sorted(manifest["parameters"].items()):
+    for key, value in sorted(params.items()):
         if value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")

@@ -152,7 +152,7 @@ def _attributed(worker, indexed_job):
     try:
         return worker(job)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        raise ConvergenceError(f"replicate {index}: {exc}") from exc
+        raise ConvergenceError(f"{getattr(worker, 'job_name', 'replicate')} {index}: {exc}") from exc
 
 
 def map_replicates(worker, jobs: list, threads: int) -> list:
@@ -160,7 +160,8 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
 
     worker must be a module-level function.  A ConvergenceError or LinAlgError
     in worker(jobs[i]) is raised as ConvergenceError("replicate i: ...") on
-    either path.
+    either path, or with worker.job_name in place of "replicate" when a job
+    is not one replicate.
     """
     run = functools.partial(_attributed, worker)
     if threads <= 1:

@@ -19,7 +19,13 @@ obey an optical theorem E[X3] - 1/N = (A_4 - tau^{-4}) E[X4] + O(Psi^5) for
 X3 = 2(X32 + X33), X4 = 3(X42 + 2 X43 + 4 X44 + X44'), and the flow-weighted
 combination N(B_3 X3 - B_4 X4) collapses below its naive size.  The checks
 here estimate both statements with bootstrap error bars and report
-PASS / FAIL / INCONCLUSIVE.
+PASS / FAIL / INCONCLUSIVE.  Both read the same index-averaged (X3, X4)
+replicates, so `flow_checks` returns the two reports from one sample.
+
+The decoupling check resamples one row of X inside a frozen base: a rank-one
+change of X^* T X.  So each base is one job with one eigendecomposition, and
+every resampled row follows from the one-row resolvent identity (the identity
+the decoupling expansion is built from) by O(N) spectral sums.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ _AUX_STREAM = 2 ** 63  # replicate-index offset reserved for auxiliary draws
 _NULL_STREAM = 2 ** 62  # replicate-index offset of the comparison's null-reference draws
 DEFAULT_EPS = 0.05
 _BOOTSTRAP = 1000
+_STATIONARY_REPS = 50  # replicates the cancellation check reads on an identity population
 _QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
 
 
@@ -203,25 +210,20 @@ def edge_window_z(state: FlowState, eps: float = DEFAULT_EPS, y: float = 0.0) ->
 # Monte Carlo machinery (index-averaged estimators from one symmetric eigensolve)
 
 
-def _avg_observables(lam: np.ndarray, z: complex, tau: float, N: int):
-    """Index-averaged (X22, X33, X44, X44', m): averaging over i turns the
-    per-index chains into spectral sums sum_j (lam_j - z)^{-k}."""
-    w = 1.0 / (lam - z)
-    m = w.mean()
-    tr2, tr3, tr4 = (w ** 2).sum(), (w ** 3).sum(), (w ** 4).sum()
+def _avg_observables(tr1, tr2, tr3, tr4, N: int):
+    """Index-averaged (m, X22, X33, X44, X44') from the traces Tr G^k, k = 1..4:
+    averaging over i turns the per-index chains into traces of powers of G."""
     X22 = tr2 / N ** 2
-    X33 = tr3 / N ** 3
-    X44 = tr4 / N ** 4
-    X44p = (tr2 / N ** 2) ** 2
-    return m, X22, X33, X44, X44p
+    return tr1 / N, X22, tr3 / N ** 3, tr4 / N ** 4, X22 ** 2
 
 
 def _x3_x4_worker(args):
     state, z, seed, rep = args
     X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N)
     Q = (state.t_alpha[:, None] * X).T @ X
-    lam = np.linalg.eigvalsh(Q)
-    m, X22, X33, X44, X44p = _avg_observables(lam, z, state.tau_t, state.N)
+    w = 1.0 / (np.linalg.eigvalsh(Q) - z)
+    m, X22, X33, X44, X44p = _avg_observables(w.sum(), (w ** 2).sum(), (w ** 3).sum(),
+                                              (w ** 4).sum(), state.N)
     return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
 
 
@@ -265,15 +267,7 @@ def _status(residual: float, ci: float, threshold: float) -> str:
     return "PASS" if residual <= max(threshold, 3.0 * ci) else "FAIL"
 
 
-def optical_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
-                     threads: int = 1) -> CheckReport:
-    """Estimate E[X3] - 1/N = (A_4 - tau^{-4}) E[X4] at the edge window.
-
-    leading is the power-counting size of X3 (mean absolute value over draws);
-    the theorem suppresses the residual far below it.
-    """
-    z = edge_window_z(state, eps)
-    X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
+def _optical_report(state: FlowState, X3: np.ndarray, X4: np.ndarray, seed: int) -> CheckReport:
     coef = state.A[4] - state.tau_t ** -4
     resid = float(abs(X3.mean() - 1.0 / state.N - coef * X4.mean()))
     leading = float(np.mean(np.abs(X3)))
@@ -282,50 +276,104 @@ def optical_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAUL
                        _status(resid, ci, leading / 10.0))
 
 
-def cancellation_check(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
-                       threads: int = 1) -> CheckReport:
-    """Flow-weighted combination N * Im(B_3 X3 - B_4 X4) against its naive size.
+def _stationary(state: FlowState) -> bool:
+    """Identity populations: the flow weights B_3 = B_4 = 0 up to solver noise."""
+    return max(abs(state.weighted_coefficient(3)), abs(state.weighted_coefficient(4))) < 1e-13
 
-    naive = M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude with no
-    cancellation; identity populations have B_3 = B_4 = 0 identically.
-    """
-    z = edge_window_z(state, eps)
-    psi = control_parameter(state, z)
+
+def _cancellation_report(state: FlowState, z: complex, X3: np.ndarray, X4: np.ndarray,
+                         seed: int) -> CheckReport:
     B3 = state.weighted_coefficient(3)
     B4 = state.weighted_coefficient(4)
-    if max(abs(B3), abs(B4)) < 1e-13:
-        # stationary flow (identity population): the weights vanish and the
-        # combination is identically zero up to solver noise
-        X3, X4 = _mc_x3_x4(state, z, min(reps, 50), seed, threads)
+    if _stationary(state):
+        # the combination is identically zero up to solver noise
+        X3, X4 = X3[:_STATIONARY_REPS], X4[:_STATIONARY_REPS]
         actual = float(state.N * abs(B3 * X3.mean().imag - B4 * X4.mean().imag))
         status = "PASS" if actual <= 1e-10 else "FAIL"
         return CheckReport("cancellation", state.N, state.t, 0.0, actual, 0.0, status)
-    X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
     actual = float(state.N * abs(B3 * X3.mean().imag - B4 * X4.mean().imag))
-    naive = float(state.M * psi ** 3 * (abs(B3) + abs(B4)))
+    naive = float(state.M * control_parameter(state, z) ** 3 * (abs(B3) + abs(B4)))
     ci = _bootstrap_sd(
         lambda a, b: state.N * abs(B3 * a.mean().imag - B4 * b.mean().imag), (X3, X4), seed)
     return CheckReport("cancellation", state.N, state.t, naive, actual, ci,
                        _status(actual, ci, naive / 10.0))
 
 
-def _decoupling_worker(args):
-    state, z, seed, base, rep, alpha = args
-    X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, state.N)  # frozen base
-    X[alpha, :] = GAUSSIAN.sample(replicate_rng(seed, (base << 32) + rep), 1, state.N)[0]
-    Q = (state.t_alpha[:, None] * X).T @ X
-    lam, V = np.linalg.eigh(Q)
-    w = 1.0 / (lam - z)
+def optical_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
+                     threads: int = 1) -> CheckReport:
+    """Estimate E[X3] - 1/N = (A_4 - tau^{-4}) E[X4] at the edge window.
+
+    leading is the power-counting size of X3 (mean absolute value over draws);
+    the theorem suppresses the residual far below it.
+    """
+    z = edge_window_z(state, eps)
+    return _optical_report(state, *_mc_x3_x4(state, z, reps, seed, threads), seed)
+
+
+def cancellation_check(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
+                       threads: int = 1) -> CheckReport:
+    """Flow-weighted combination N * Im(B_3 X3 - B_4 X4) against its naive size.
+
+    naive = M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude with no
+    cancellation; identity populations have B_3 = B_4 = 0 identically, and
+    their check reads only the first 50 replicates.
+    """
+    z = edge_window_z(state, eps)
+    n = min(reps, _STATIONARY_REPS) if _stationary(state) else reps
+    return _cancellation_report(state, z, *_mc_x3_x4(state, z, n, seed, threads), seed)
+
+
+def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
+                threads: int = 1) -> tuple[CheckReport, CheckReport]:
+    """(optical_residual, cancellation_check) with these arguments, from one sample.
+
+    Both checks read the same (X3, X4) replicates, so they are drawn and
+    eigensolved once; the reports equal those of the two separate calls.
+    """
+    z = edge_window_z(state, eps)
+    X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
+    return _optical_report(state, X3, X4, seed), _cancellation_report(state, z, X3, X4, seed)
+
+
+def _decoupling_base(args):
+    """(lhs, rhs, c^2 X22) for each resampled row of one frozen base, shape (per_base, 3).
+
+    With row alpha zeroed the base gives Q0 = V diag(lam) V^T, and each
+    replicate is the rank-one update Q = Q0 + t_alpha x x^T.  With v = V^T x,
+    g_j = 1/(lam_j - z), s_p = sum_j v_j^2 g_j^p and D = 1 + t_alpha s_1 =
+    det(Q - z)/det(Q0 - z), Sherman-Morrison gives u = G x = G0 x / D, so
+    u.u = s_2/D^2, and Tr G^k = sum_j g_j^k - (log D)^(k)/(k-1)! with
+    D^(n) = t_alpha n! s_{n+1}.
+    """
+    state, z, seed, base, per_base, alpha = args
     N = state.N
-    m, X22, X33, X44, X44p = _avg_observables(lam, z, state.tau_t, N)
-    X3, X4 = _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
+    X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, N)  # frozen base
+    X[alpha, :] = 0.0
+    lam, V = np.linalg.eigh((state.t_alpha[:, None] * X).T @ X)
+    rows = np.array([GAUSSIAN.sample(replicate_rng(seed, (base << 32) + r), 1, N)[0]
+                     for r in range(per_base)])
+    g_pow = (1.0 / (lam - z))[:, None] ** np.arange(1, 6)  # (N, 5): g_j^p for p = 1..5
+    s = ((rows @ V) ** 2 @ g_pow).T                         # (5, per_base): s_1 .. s_5
     ta = state.t_alpha[alpha]
+    D = 1.0 + ta * s[0]
+    # r_n = D^(n) / D; the derivatives of log D by Faa di Bruno
+    r1, r2, r3, r4 = ta * s[1] / D, 2.0 * ta * s[2] / D, 6.0 * ta * s[3] / D, 24.0 * ta * s[4] / D
+    log_d1 = r1
+    log_d2 = r2 - r1 ** 2
+    log_d3 = r3 - 3.0 * r1 * r2 + 2.0 * r1 ** 3
+    log_d4 = r4 - 4.0 * r1 * r3 - 3.0 * r2 ** 2 + 12.0 * r1 ** 2 * r2 - 6.0 * r1 ** 4
+    trace = g_pow.sum(axis=0)
+    m, X22, X33, X44, X44p = _avg_observables(trace[0] - log_d1, trace[1] - log_d2,
+                                              trace[2] - log_d3 / 2.0, trace[3] - log_d4 / 6.0, N)
+    X3, X4 = _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
     c = 1.0 / (1.0 / ta - state.tau_t)
-    # index-averaged (1/N) sum_i G_{i alpha} G_{alpha i} = (t_a^2/N) u.u with u = G X^*[:, alpha]
-    u = V @ (w * (V.T @ X[alpha, :]))
-    lhs = ta ** 2 * (u @ u) / N
+    # index-averaged (1/N) sum_i G_{i alpha} G_{alpha i} = (t_a^2/N) u.u
+    lhs = ta ** 2 * (s[1] / D ** 2) / N
     rhs = c ** 2 * X22 - c ** 3 * X3 + c ** 4 * X4
-    return lhs, rhs, c ** 2 * X22
+    return np.stack([lhs, rhs, c ** 2 * X22], axis=1)
+
+
+_decoupling_base.job_name = "decoupling base"  # how map_replicates names a failed job
 
 
 def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
@@ -339,6 +387,12 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
     (edge-resonant) corner at desk scale.  Both sides are averaged over the
     Roman index.  leading is the magnitude of the order-Psi^2 term.
 
+    Resampling row alpha is a rank-one change of X^* T X, so each frozen base
+    is one job: one eigendecomposition of the base with row alpha zeroed, then
+    every resampled row by the one-row resolvent identity, as one batched
+    matrix product and O(N) sums per row (see `_decoupling_base`).  A failure
+    names its base.
+
     alpha is the most stable Greek branch (largest gap t_alpha^{-1} - tau),
     where the expansion parameter is smallest.
     """
@@ -350,9 +404,8 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
     if eta_override is not None:
         z = complex(z.real, eta_override)
     per_base = max(1, reps // bases)
-    jobs = [(state, z, seed, b, r, alpha) for b in range(bases) for r in range(per_base)]
-    arr = np.array(map_replicates(_decoupling_worker, jobs, threads), dtype=complex)
-    arr = arr.reshape(bases, per_base, 3)
+    jobs = [(state, z, seed, b, per_base, alpha) for b in range(bases)]
+    arr = np.array(map_replicates(_decoupling_base, jobs, threads))
     diff_by_base = (arr[:, :, 0] - arr[:, :, 1]).mean(axis=1)
     resid = float(abs(diff_by_base.mean()))
     # power-counting magnitude of the order-Psi^2 term (no phase cancellation)

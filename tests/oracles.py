@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: root bracketing via
 scipy's brentq, eigenvalues via characteristic polynomials or SVD, F1 via a
 determinant representation, the Painleve function via plain backward marching
-(valid right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices, and
-explicit index loops for the Green observables.
+(valid right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
+explicit index loops for the Green observables, and a dense eigensolve per
+replicate for the decoupling check's rank-one updates.
 """
 
 import numpy as np
@@ -114,6 +115,27 @@ def loop_observables(G: np.ndarray, i: int, m: complex, tau: float):
         "X44": X44,
         "X44p": X44p,
     }
+
+
+def dense_decoupling_replicate(state, z: complex, seed: int, base: int, rep: int, alpha: int):
+    """(lhs, rhs, c^2 X22) of one decoupling replicate by a dense eigensolve of the
+    whole matrix: frozen base from (seed, 2^63 + 1000 + base), row alpha from
+    (seed, (base << 32) + rep), u = G x_alpha built from the eigenvectors."""
+    from edgekit.ensemble import replicate_rng
+
+    M, N = state.M, state.N
+    X = replicate_rng(seed, 2 ** 63 + 1000 + base).standard_normal((M, N)) / np.sqrt(N)
+    X[alpha, :] = replicate_rng(seed, (base << 32) + rep).standard_normal((1, N))[0] / np.sqrt(N)
+    lam, V = np.linalg.eigh((state.t_alpha[:, None] * X).T @ X)
+    w = 1.0 / (lam - z)
+    mt = w.mean() + state.tau_t
+    X22, X33, X44 = (w ** 2).sum() / N ** 2, (w ** 3).sum() / N ** 3, (w ** 4).sum() / N ** 4
+    X3 = 2.0 * (mt * X22 + X33)
+    X4 = 3.0 * (mt ** 2 * X22 + 2.0 * mt * X33 + 4.0 * X44 + X22 ** 2)
+    ta = state.t_alpha[alpha]
+    c = 1.0 / (1.0 / ta - state.tau_t)
+    u = V @ (w * (V.T @ X[alpha, :]))
+    return ta ** 2 * (u @ u) / N, c ** 2 * X22 - c ** 3 * X3 + c ** 4 * X4, c ** 2 * X22
 
 
 def inverse_transform_samples(grid: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -161,6 +161,44 @@ def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err.startswith("convergence failure: replicate 0: Eigenvalues")
 
 
+def test_decoupling_failure_names_its_base(tmp_path, monkeypatch, capsys):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    (tmp_path / "checks.json").write_text(json.dumps(
+        [{"check": "decoupling", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": 1}]))
+    code = cli.main(["flow-verify", "--manifest", str(tmp_path / "checks.json"),
+                     "--threads", "1", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith(
+        "convergence failure: decoupling base 0: Eigenvalues")
+
+
+def test_flow_verify_draws_one_sample_per_group(tmp_path, monkeypatch):
+    calls = []
+    mc_x3_x4 = edgekit.green._mc_x3_x4
+
+    def counting(state, z, reps, seed, threads=1):
+        calls.append((state.N, reps, seed))
+        return mc_x3_x4(state, z, reps, seed, threads)
+
+    monkeypatch.setattr(edgekit.green, "_mc_x3_x4", counting)
+    spectrum = "twopoint:a=1,b=2,w=0.5,M=40,N=40"
+    items = [{"check": kind, "spectrum": spectrum, "t": 0.5, "reps": 30, "seed": seed}
+             for kind, seed in (("cancellation", 3), ("optical", 3), ("optical", 4))]
+    (tmp_path / "checks.json").write_text(json.dumps(items))
+    code = cli.main(["flow-verify", "--manifest", str(tmp_path / "checks.json"),
+                     "--threads", "1", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert calls == [(40, 30, 3), (40, 30, 4)]
+    state = edgekit.flow_state(two_point_spectrum(1.0, 2.0, 0.5, 40, 40), 0.5)
+    expected = [edgekit.cancellation_check(state, 30, 3), edgekit.optical_residual(state, 30, 3),
+                edgekit.optical_residual(state, 30, 4)]
+    report = json.loads((tmp_path / "out" / "flow_verify.json").read_text())
+    assert report == [r.to_dict() for r in expected]
+
+
 def test_detect_command_and_exit(workspace):
     cwd, cache = workspace
     proc = run_cli(["detect", "--spectrum", "identity:M=100,N=100", "--table-N", "100",
@@ -224,6 +262,28 @@ def test_parent_era_manifest_with_null_n_reruns(workspace):
     proc = run_cli(["rerun", "old_manifest.json"], cache, cwd)
     assert proc.returncode == 0, proc.stderr
     assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
+
+
+def test_legacy_n_manifest_reruns_or_is_rejected(workspace):
+    # manifests written while simulate still took --N carry its value; rerun
+    # drops it when the spectrum has that N and rejects it otherwise
+    cwd, cache = workspace
+    proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
+                    "--threads", "1", "--out", "orig"], cache, cwd)
+    assert proc.returncode == 0, proc.stderr
+    for legacy_n, out in ((90, "redo"), (20, "rejected")):
+        manifest = {"command": "simulate", "out": str(cwd / out), "seed": 11,
+                    "parameters": {"N": legacy_n, "entries": "gaussian", "k": 1, "ks": False,
+                                   "reps": 25, "seed": 11, "spectrum": "identity:M=90,N=90"}}
+        (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        proc = run_cli(["rerun", "old_manifest.json"], cache, cwd)
+        if legacy_n == 90:
+            assert proc.returncode == 0, proc.stderr
+            assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / out / "samples.csv").read_bytes()
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("domain rejection: manifest parameter N=20"), proc.stderr
+            assert not (cwd / out).exists()
 
 
 def test_negative_seed_is_domain_rejection(workspace):

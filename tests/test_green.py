@@ -7,7 +7,7 @@ from edgekit.ensemble import replicate_rng
 from edgekit.errors import DomainRejectionError
 from edgekit.green import edge_window_z, roman_green
 
-from oracles import loop_observables
+from oracles import dense_decoupling_replicate, loop_observables
 
 
 def _random_lin(rng, N, M, z):
@@ -175,6 +175,47 @@ def test_decoupling_far_regime_scale_collapse():
     edge = ek.decoupling_residual(state, reps=200, seed=51)
     far = ek.decoupling_residual(state, reps=200, seed=51, eta_override=1.0)
     assert far.leading < edge.leading / 3.0
+
+
+# (spectrum, t, seed, base, eta_override); in the first case the base matrix
+# has an eigenvalue within eta of Re z, where Tr G^4 of the rank-one update
+# cancels most of the base's sum_j g_j^4
+_RANK_ONE_CASES = [
+    (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 1, None),
+    (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 2, None),
+    (ek.identity_spectrum(200, 200), 0.0, 51, 0, None),
+    (ek.identity_spectrum(200, 200), 0.0, 51, 0, 1.0),
+]
+
+
+def test_decoupling_rank_one_matches_dense():
+    per_base = 4
+    for case, (spec, t, seed, base, eta) in enumerate(_RANK_ONE_CASES):
+        state = ek.flow_state(spec, t)
+        alpha = int(np.argmin(state.t_alpha))
+        z = edge_window_z(state)
+        if eta is not None:
+            z = complex(z.real, eta)
+        triples = green._decoupling_base((state, z, seed, base, per_base, alpha))
+        dense = np.array([dense_decoupling_replicate(state, z, seed, base, r, alpha)
+                          for r in range(per_base)])
+        assert triples.shape == (per_base, 3)
+        assert np.max(np.abs(triples - dense) / np.abs(dense)) <= 1e-10, case
+        if case == 0:
+            X = replicate_rng(seed, 2 ** 63 + 1000 + base).standard_normal((200, 200)) / np.sqrt(200)
+            X[alpha, :] = 0.0
+            lam = np.linalg.eigvalsh((state.t_alpha[:, None] * X).T @ X)
+            assert np.min(np.abs(lam - z.real)) < z.imag
+
+
+@pytest.mark.parametrize("state, reps", [
+    (ek.flow_state(ek.two_point_spectrum(1.0, 2.0, 0.5, 60, 60), 0.5), 40),
+    (ek.flow_state(ek.identity_spectrum(60, 60), 0.5), 80),  # stationary: reads 50 of 80
+], ids=["twopoint", "identity"])
+def test_flow_checks_equal_separate_checks(state, reps):
+    optical, cancellation = ek.flow_checks(state, reps=reps, seed=5)
+    assert optical == ek.optical_residual(state, reps=reps, seed=5)
+    assert cancellation == ek.cancellation_check(state, reps=reps, seed=5)
 
 
 def _twopoint_state(n):
