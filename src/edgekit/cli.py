@@ -114,46 +114,57 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_key(item: dict) -> tuple:
-    """(spectrum, t, reps, seed, eta_exp) of a manifest item, with the defaults filled in."""
-    return (item["spectrum"], float(item.get("t", 0.0)), int(item.get("reps", 2000)),
-            int(item.get("seed", 0)), float(item.get("eta_exp", green.DEFAULT_EPS)))
+_SHARED_SAMPLE_KINDS = ("optical", "cancellation")  # the order of green.flow_checks' reports
+_CHECK_KINDS = _SHARED_SAMPLE_KINDS + ("decoupling", "sum_rules")
 
 
-def _run_one_check(item: dict, threads: int) -> green.CheckReport:
-    spectrum, t, reps, seed, eps = _check_key(item)
+def _check_key(index: int, item) -> tuple:
+    """(spectrum, t, reps, seed, eta_exp) of manifest item `index`, with the defaults
+    filled in; a malformed item is rejected by its index."""
+    where = f"check manifest item {index}"
+    if not (isinstance(item, dict) and item.get("check") in _CHECK_KINDS
+            and isinstance(item.get("spectrum"), str)):
+        raise DomainRejectionError(f"{where} needs a 'check' among {', '.join(_CHECK_KINDS)} "
+                                   f"and a 'spectrum' string, got {json.dumps(item)}")
+    try:
+        key = (item["spectrum"], float(item.get("t", 0.0)), int(item.get("reps", 2000)),
+               int(item.get("seed", 0)), float(item.get("eta_exp", green.DEFAULT_EPS)))
+    except (TypeError, ValueError) as exc:
+        raise DomainRejectionError(f"{where}: t, reps, seed and eta_exp must be numbers ({exc})") from None
+    if key[2] < 1:
+        raise DomainRejectionError(f"{where}: reps must be positive, got {key[2]}")
+    return key
+
+
+def _run_one_check(kind: str, key: tuple, threads: int) -> green.CheckReport:
+    spectrum, t, reps, seed, eps = key
     spec = load_spectrum(spectrum)
-    kind = item["check"]
     state = flow_state(spec, t)
     if kind == "decoupling":
         return green.decoupling_residual(state, reps, seed, eps=eps, threads=threads)
-    if kind == "sum_rules":
-        r1, r2 = state.sum_rule_residuals()
-        c1, c2 = coefficient_identities_check(state)
-        zres = zdot_check(spec, max(t, 1e-3))
-        resid = max(r1, r2, c1, c2)
-        status = "PASS" if resid <= 1e-9 and zres <= 1e-6 else "FAIL"
-        return green.CheckReport("sum_rules", spec.N, t, 1.0, resid, 0.0, status)
-    raise DomainRejectionError(f"unknown check kind {kind!r}")
-
-
-_SHARED_SAMPLE_KINDS = ("optical", "cancellation")  # the order of green.flow_checks' reports
+    # sum_rules; the shared-sample kinds go through green.flow_checks
+    r1, r2 = state.sum_rule_residuals()
+    c1, c2 = coefficient_identities_check(state)
+    zres = zdot_check(spec, max(t, 1e-3))
+    resid = max(r1, r2, c1, c2)
+    status = "PASS" if resid <= 1e-9 and zres <= 1e-6 else "FAIL"
+    return green.CheckReport("sum_rules", spec.N, t, 1.0, resid, 0.0, status)
 
 
 def cmd_flow_verify(args) -> int:
     items = json.loads(Path(args.manifest).read_text())
     if not isinstance(items, list):
         raise DomainRejectionError("check manifest must be a JSON list")
+    keys = [_check_key(index, item) for index, item in enumerate(items)]
     # optical and cancellation items with one key read one sample: the first
     # such item runs green.flow_checks for its group, the others take its reports
     groups = {}
     reports = []
-    for item in items:
+    for item, key in zip(items, keys):
         kind = item["check"]
         if kind not in _SHARED_SAMPLE_KINDS:
-            reports.append(_run_one_check(item, args.threads))
+            reports.append(_run_one_check(kind, key, args.threads))
             continue
-        key = _check_key(item)
         if key not in groups:
             spectrum, t, reps, seed, eps = key
             groups[key] = green.flow_checks(flow_state(load_spectrum(spectrum), t), reps, seed,
@@ -190,7 +201,7 @@ def cmd_detect(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = load_spectrum(args.spectrum)
-    window = spec.N ** (-2.0 / 3.0 + args.eta_exp)
+    window = green.edge_window(spec.N, args.eta_exp)[0]
     e1 = args.E1 if args.E1 is not None else -0.5 * window
     e2 = args.E2 if args.E2 is not None else 0.5 * window
     mean_q, mean_w, gap, ci = green.comparison_functional(

@@ -1,5 +1,7 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
+It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
+
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 `replicate_rng(seed, index)`.  The stream keys (seed, index) are:
@@ -28,7 +30,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import flow_state
 from .population import EdgeParams, PopulationSpectrum, edge_params, identity_spectrum
-from .stieltjes import solve_mfc
 
 ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
 
@@ -115,7 +116,7 @@ class EdgeSamples:
     """Rescaled top-k eigenvalues per replicate: s_i = gamma0 N^{2/3} (mu_i - E_plus)."""
 
     rows: np.ndarray            # (replicates, k), descending within each row
-    raw: np.ndarray | None = None
+    raw: np.ndarray             # the eigenvalues mu_i before rescaling, same shape
 
     def column(self, i: int = 0) -> np.ndarray:
         return self.rows[:, i]
@@ -319,25 +320,3 @@ def smoothed_count(eigenvalues: np.ndarray, E: float, E_star: float, eta: float,
     exact = int(np.sum((mu > E) & (mu <= E_star)))
     return smoothed, exact
 
-
-def local_law_probe(X: np.ndarray, spectrum: PopulationSpectrum, z: complex):
-    """Entrywise and averaged Green-function deviations from m_fc, plus the control parameter Psi.
-
-    G_Q = (X^* Sigma X - z)^{-1}; returns (max_ij |G_ij - delta_ij m_fc|,
-    |m_Q - m_fc|, Psi(z)) with Psi = sqrt(Im m_fc / (N eta)) + 1/(N eta).
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainRejectionError("probe needs Im z > 0")
-    M, N = X.shape
-    Q = (spectrum.eigenvalues[:, None] * X).T @ X
-    try:
-        G = np.linalg.inv(Q - z * np.eye(N))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular shift at z={z}: {exc}") from exc
-    mhat = solve_mfc(spectrum, z).m
-    dev = G - np.eye(N) * mhat
-    max_entry_dev = float(np.max(np.abs(dev)))
-    avg_dev = float(abs(np.trace(G) / N - mhat))
-    psi = float(np.sqrt(max(mhat.imag, 0.0) / (N * z.imag)) + 1.0 / (N * z.imag))
-    return max_entry_dev, avg_dev, psi

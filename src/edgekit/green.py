@@ -30,7 +30,6 @@ the decoupling expansion is built from) by O(N) spectral sums.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +102,10 @@ def verify_schur(lin: Linearization):
     """
     if complex(lin.z) == 0.0:
         raise DomainRejectionError("Schur verification needs z != 0")
-    N, M = lin.N, lin.M
+    N = lin.N
     X = lin.H[N:, :N]
     G = lin.green()
-    good = np.linalg.inv((lin.t_alpha[:, None] * X).T @ X - lin.z * np.eye(N))
+    good = roman_green(X, lin.t_alpha, lin.z)
     r_good = float(np.max(np.abs(G[:N, :N] - good)))
     bad = np.linalg.inv(X @ X.T - lin.z * np.diag(1.0 / lin.t_alpha))
     r_bad = float(np.max(np.abs(G[N:, N:] / lin.z - bad)))
@@ -140,13 +139,11 @@ def _x3_x4(mt: complex, X22: complex, X33: complex, X44: complex, X44p: complex)
 @dataclass(frozen=True)
 class GreenObservables:
     m: complex
-    m_tilde: complex
     tau: float
     X22: complex
     X33: complex
     X44: complex
     X44p: complex
-    psi: float
 
     @property
     def X32(self) -> complex:
@@ -160,18 +157,32 @@ class GreenObservables:
     def X43(self) -> complex:
         return (self.m + self.tau) * self.X33
 
-    def X3(self) -> complex:
-        return _x3_x4(self.m + self.tau, self.X22, self.X33, self.X44, self.X44p)[0]
 
-    def X4(self) -> complex:
-        return _x3_x4(self.m + self.tau, self.X22, self.X33, self.X44, self.X44p)[1]
+def _psi(m_fc: complex, N: int, eta: float) -> float:
+    """The control parameter Psi = sqrt(Im m_fc / (N eta)) + 1/(N eta)."""
+    return float(np.sqrt(max(m_fc.imag, 0.0) / (N * eta)) + 1.0 / (N * eta))
 
 
 def control_parameter(state: FlowState, z: complex) -> float:
-    """Psi(z) = sqrt(Im m_fc / (N eta)) + 1/(N eta) for the time-t spectrum."""
-    eta = complex(z).imag
-    mh = solve_mfc(state.as_population(), z).m
-    return float(np.sqrt(max(mh.imag, 0.0) / (state.N * eta)) + 1.0 / (state.N * eta))
+    """Psi(z) for the time-t spectrum."""
+    return _psi(solve_mfc(state.as_population(), z).m, state.N, complex(z).imag)
+
+
+def local_law_probe(X: np.ndarray, spectrum: PopulationSpectrum, z: complex):
+    """Entrywise and averaged Green-function deviations from m_fc, plus the control parameter Psi.
+
+    G_Q = (X^* Sigma X - z)^{-1}; returns (max_ij |G_ij - delta_ij m_fc|,
+    |m_Q - m_fc|, Psi(z)).
+    """
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainRejectionError("probe needs Im z > 0")
+    N = X.shape[1]
+    G = roman_green(X, spectrum.eigenvalues, z)
+    m_fc = solve_mfc(spectrum, z).m
+    max_entry_dev = float(np.max(np.abs(G - np.eye(N) * m_fc)))
+    avg_dev = float(abs(np.trace(G) / N - m_fc))
+    return max_entry_dev, avg_dev, _psi(m_fc, N, z.imag)
 
 
 def observables(lin: Linearization, state: FlowState, i: int) -> GreenObservables:
@@ -180,30 +191,31 @@ def observables(lin: Linearization, state: FlowState, i: int) -> GreenObservable
     The chains never materialize the N^3 sums: row i of the Roman resolvent is
     propagated through matrix-vector products.
     """
-    N, M = lin.N, lin.M
+    N = lin.N
     if not (0 <= i < N):
         raise DomainRejectionError(f"Roman index {i} outside [0, {N})")
-    X = lin.H[N:, :N]
-    G = roman_green(X, lin.t_alpha, lin.z)
+    G = roman_green(lin.H[N:, :N], lin.t_alpha, lin.z)
     m = complex(np.trace(G) / N)
-    greek = np.linalg.inv(X @ X.T - lin.z * np.diag(1.0 / lin.t_alpha)) * lin.z
-    m_tilde = complex(np.trace(greek) / M)
     row = G[i, :]
     X22 = complex(row @ row / N)
     grow = G @ row
     X33 = complex(row @ grow / N ** 2)
     X44 = complex(grow @ grow / N ** 3)
     X44p = complex(X22 * np.sum(G * G.T) / N ** 2)
-    return GreenObservables(m=m, m_tilde=m_tilde, tau=state.tau_t, X22=X22, X33=X33,
-                            X44=X44, X44p=X44p, psi=control_parameter(state, lin.z))
+    return GreenObservables(m=m, tau=state.tau_t, X22=X22, X33=X33, X44=X44, X44p=X44p)
+
+
+def edge_window(N: int, eps: float) -> tuple[float, float]:
+    """(N^{-2/3+eps}, N^{-2/3-eps}): the half-width of the edge window and its eta."""
+    return N ** (-2.0 / 3.0 + eps), N ** (-2.0 / 3.0 - eps)
 
 
 def edge_window_z(state: FlowState, eps: float = DEFAULT_EPS, y: float = 0.0) -> complex:
-    """z = L_plus + y + i eta with eta = N^{-2/3-eps}; |y| must stay within N^{-2/3+eps}."""
-    N = state.N
-    if abs(y) > N ** (-2.0 / 3.0 + eps) * (1.0 + 1e-12):
+    """z = L_plus + y + i eta at the edge window's eta; |y| must stay within its half-width."""
+    half_width, eta = edge_window(state.N, eps)
+    if abs(y) > half_width * (1.0 + 1e-12):
         raise DomainRejectionError("offset y outside the edge window")
-    return complex(state.L_plus_t + y, N ** (-2.0 / 3.0 - eps))
+    return complex(state.L_plus_t + y, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +268,6 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {"check": self.check, "N": self.N, "t": self.t, "leading": self.leading,
                 "residual": self.residual, "ci": self.ci, "status": self.status}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _status(residual: float, ci: float, threshold: float) -> str:
@@ -434,18 +443,18 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     bootstrap error bar (the smooth-function comparison at F = identity)."""
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")
+    if reps < 1:
+        raise DomainRejectionError(f"reps must be positive, got {reps}")
     tilde_state = flow_state(spec, 0.0)
-    N = spec.N
-    window = N ** (-2.0 / 3.0 + eps)
+    window, eta = edge_window(spec.N, eps)
     if max(abs(E1), abs(E2)) > window * (1.0 + 1e-12):
         raise DomainRejectionError(f"|E1|, |E2| must stay within N^(-2/3+eps) = {window:.3e}")
-    eta = N ** (-2.0 / 3.0 - eps)
     if E1 == E2:
         return 0.0, 0.0, 0.0, 0.0
     u, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
     xs = 0.5 * (u + 1.0) * (E2 - E1) + E1
     weights = 0.5 * (E2 - E1) * w
-    null_state = flow_state(identity_spectrum(spec.M, N), 0.0)
+    null_state = flow_state(identity_spectrum(spec.M, spec.N), 0.0)
     jobs = ([(tilde_state, xs, weights, eta, seed, r) for r in range(reps)]
             + [(null_state, xs, weights, eta, seed, _NULL_STREAM + r) for r in range(reps)])
     tilde, null = np.array(map_replicates(_functional_worker, jobs, threads)).reshape(2, reps)

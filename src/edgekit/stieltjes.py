@@ -29,6 +29,7 @@ from .population import EdgeParams, PopulationSpectrum
 DEFAULT_TOL = 1e-12
 _NEWTON_STEPS = 100  # per eta rung
 _HALVINGS = 40       # step halvings per Newton step
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, 
     m it stays regular at the d > 1 pole m ~ -(1 - 1/d)/z near E = 0, where
     u -> 0.  A step is halved while it would leave the closed lower half-plane
     (Im u <= 0, i.e. Im m >= 0) or grow the residual |m - RHS(m)| / max(1, |m|),
-    which is also the convergence test.  Only unconverged points are
-    evaluated, for at most max_steps steps.  Returns (u, residual, Newton
-    steps per point).
+    which is also the convergence test, until it falls below the rounding unit
+    of u.  Only unconverged points are evaluated, for at most max_steps steps.
+    Returns (u, residual, Newton steps per point).
     """
     sigma = spec._values[:, None]
     w_sigma = spec._weights * spec._values
@@ -93,18 +94,21 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, 
             step = f[active] / fp[active]
         trial = ua - step
         ft, fpt, rt = np.empty_like(ua), np.empty_like(ua), np.empty_like(ra)
+        take = np.zeros(active.size, dtype=bool)
         todo = np.arange(active.size)
         for _ in range(_HALVINGS):
             ft[todo], fpt[todo], rt[todo] = evaluate(trial[todo], za[todo])
-            bad = (trial[todo].imag > 0.0) | ~(rt[todo] <= ra[todo])
-            todo = todo[bad]
-            if todo.size == 0:
-                break
+            passed = (trial[todo].imag <= 0.0) & (rt[todo] <= ra[todo])
+            take[todo[passed]] = True
+            todo = todo[~passed]
             step[todo] /= 2.0
             trial[todo] = ua[todo] - step[todo]
-        # a point leaves todo only once its evaluated trial passed both guards
-        take = np.ones(active.size, dtype=bool)
-        take[todo] = False
+            # a step below the rounding unit of both parts of u moves u by
+            # rounding only and cannot lower the residual any further
+            todo = todo[(np.abs(step[todo].real) > _EPS * np.abs(ua[todo].real))
+                        | (np.abs(step[todo].imag) > _EPS * np.abs(ua[todo].imag))]
+            if todo.size == 0:
+                break
         moved = active[take]
         u[moved], f[moved], fp[moved], res[moved] = trial[take], ft[take], fpt[take], rt[take]
         steps[active] += 1

@@ -12,6 +12,9 @@ solver therefore treats it as a boundary-value problem on the whole interval:
 4th-order collocation anchored on the left asymptote
 q(s) = sqrt(-s/2)(1 + 1/(8 s^3) - 73/(128 s^6)) and on Ai at the right end.
 
+The solution is stored at step 0.005; `tw_cdf` and `tw_table` read F1 and F2
+off it through one evaluator, `_tabulate`, at any point of its span.
+
 The independent cross-check is the Airy-kernel Fredholm determinant
 F2(s) = det(I - K_Ai) on L^2(s, inf), discretized by Gauss-Legendre Nystrom.
 """
@@ -29,6 +32,7 @@ from .errors import ConvergenceError, DomainRejectionError
 
 _ASYMPTOTE_PAD = 4.0  # collocation extends this far left of s_min for the asymptotic anchor
 _TAIL_UPPER = 18.0    # Airy tail integrals are truncated here (Ai(18)^2 ~ 1e-45)
+_PAINLEVE_STEP = 0.005  # node spacing of the Hastings-McLeod solution
 
 # scipy is imported inside the functions that need it, never at module level:
 # the CLI imports this module for every command, and most never touch scipy.
@@ -98,17 +102,15 @@ def _collocation_sweep(s_left: float, s_max: float):
     return result.sol
 
 
-def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.005) -> PainleveSolution:
-    """Hastings-McLeod solution on [s_min, s_max] sampled with the given step."""
+def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0) -> PainleveSolution:
+    """Hastings-McLeod solution on [s_min, s_max] sampled with step 0.005."""
     if s_max < 6.0:
         raise DomainRejectionError("s_max must be >= 6 so the Airy boundary data are in the decaying regime")
     if s_min > -10.0:
         raise DomainRejectionError("s_min must be <= -10 so both tails are resolved")
-    if step <= 0:
-        raise DomainRejectionError("step must be positive")
     from scipy.special import airy
 
-    grid = np.arange(0, int(round((s_max - s_min) / step)) + 1) * step + s_min
+    grid = np.arange(0, int(round((s_max - s_min) / _PAINLEVE_STEP)) + 1) * _PAINLEVE_STEP + s_min
     grid[-1] = s_max
     q, qp = _collocation_sweep(s_min - _ASYMPTOTE_PAD, s_max)(grid)
     if np.any(q <= 0.0):
@@ -119,62 +121,53 @@ def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.00
     return PainleveSolution(grid=grid, q=q, qprime=qp)
 
 
-def _tail_nodes(s_max: float):
+def _tabulate(s: np.ndarray, sol: PainleveSolution) -> TWTable:
+    """F1 and F2 at the ascending points s, which must lie on the solution's grid span.
+
+    The suffix integrals J0 = int_s^inf q, J1 = int_s^inf x q^2 and
+    J2 = int_s^inf q^2 are cumulative Simpson sums on the Painleve grid, plus
+    the same integrals of Ai beyond the grid's right end (they agree there to
+    ~1e-9 by the boundary condition).  Between nodes they are cubic Hermite
+    interpolants with the known slopes -q, -x q^2 and -q^2.  Then
+    int_s^inf (x - s) q^2 = J1(s) - s J2(s).
+    """
+    from scipy.integrate import cumulative_simpson, simpson
+    from scipy.interpolate import CubicHermiteSpline
     from scipy.special import airy
 
-    x = np.linspace(s_max, _TAIL_UPPER, 600)
-    return x, airy(x)[0]
+    g, q = sol.grid, sol.q
+    if s[0] < g[0] - 1e-12 or s[-1] > g[-1] + 1e-12:
+        raise DomainRejectionError(f"s in [{s[0]}, {s[-1]}] outside the stored grid [{g[0]}, {g[-1]}]; "
+                                   "extrapolation refused")
+    xt = np.linspace(g[-1], _TAIL_UPPER, 600)
+    ai = airy(xt)[0]
+    f, tail = np.stack([q, g * q ** 2, q ** 2]), np.stack([ai, xt * ai ** 2, ai ** 2])
+    J = (simpson(f, x=g)[:, None] - cumulative_simpson(f, x=g, initial=0.0)
+         + simpson(tail, x=xt)[:, None])
+    J0, J1, J2 = CubicHermiteSpline(g, J, -f, axis=1)(s)
+    F2 = np.exp(-(J1 - s * J2))
+    F1 = np.exp(-0.5 * J0) * np.sqrt(F2)
+    return TWTable(grid=s, F1=np.clip(F1, 0.0, 1.0), F2=np.clip(F2, 0.0, 1.0))
 
 
 def tw_cdf(beta: int, s: float, sol: PainleveSolution) -> float:
-    """Evaluate F_beta at one point by composite Simpson on the stored grid.
-
-    The integrals beyond the grid's right end are completed with Ai in place
-    of q (they agree there to ~1e-9 by the boundary condition).
-    """
-    from scipy.integrate import simpson
-
-    grid, q = sol.grid, sol.q
-    if s < grid[0] - 1e-12 or s > grid[-1] + 1e-12:
-        raise DomainRejectionError(f"s={s} outside the stored grid [{grid[0]}, {grid[-1]}]; extrapolation refused")
-    mask = grid > s
-    # anchor the quadrature exactly at s so off-grid evaluation points do not
-    # drop the leading sliver of the integral
-    x = np.concatenate([[s], grid[mask]])
-    qx = np.concatenate([[np.interp(s, grid, q)], q[mask]])
-    xt, ai_t = _tail_nodes(grid[-1])
-    i2 = simpson((x - s) * qx ** 2, x=x) + simpson((xt - s) * ai_t ** 2, x=xt)
-    f2 = float(np.exp(-i2))
-    if beta == 2:
-        return f2
-    if beta == 1:
-        i1 = simpson(qx, x=x) + simpson(ai_t, x=xt)
-        return float(np.exp(-0.5 * i1) * np.sqrt(f2))
-    raise DomainRejectionError(f"beta must be 1 or 2, got {beta}")
+    """F_beta at one point, by the evaluator behind `tw_table`."""
+    return float(_tabulate(np.array([float(s)]), sol).cdf(beta)[0])
 
 
 def tw_table(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.01,
              sol: PainleveSolution | None = None) -> TWTable:
-    """Tabulate F1 and F2 on a uniform grid (vectorized cumulative quadrature)."""
-    from scipy.integrate import cumulative_simpson, simpson
-
+    """Tabulate F1 and F2 on a uniform grid with the given step."""
+    if not 0.0 < step < np.inf:
+        raise DomainRejectionError(f"step must be positive and finite, got {step}")
+    if not -np.inf < s_min < s_max < np.inf:
+        raise DomainRejectionError(f"need finite s_min < s_max, got s_min={s_min}, s_max={s_max}")
     if sol is None:
-        sol = hastings_mcleod(min(s_min, -10.0), max(s_max, 6.0), step=min(step, 0.005))
+        sol = hastings_mcleod(min(s_min, -10.0), max(s_max, 6.0))
     n = int(round((s_max - s_min) / step))
     grid = s_min + np.arange(0, n + 1) * step
     grid[-1] = s_max
-    # cumulative Simpson antiderivatives on the solution grid, then interpolation;
-    # int_s^inf (x-s) q^2 = J1(s) - s J2(s) with J1 = int_s^inf x q^2, J2 = int_s^inf q^2
-    g, q = sol.grid, sol.q
-    q2 = q ** 2
-    xt, ai_t = _tail_nodes(g[-1])
-    suffix = lambda f: simpson(f, x=g) - cumulative_simpson(f, x=g, initial=0.0)
-    J0 = np.interp(grid, g, suffix(q)) + simpson(ai_t, x=xt)
-    J1 = np.interp(grid, g, suffix(g * q2)) + simpson(xt * ai_t ** 2, x=xt)
-    J2 = np.interp(grid, g, suffix(q2)) + simpson(ai_t ** 2, x=xt)
-    F2 = np.exp(-(J1 - grid * J2))
-    F1 = np.exp(-0.5 * J0) * np.sqrt(F2)
-    return TWTable(grid=grid, F1=np.clip(F1, 0.0, 1.0), F2=np.clip(F2, 0.0, 1.0))
+    return _tabulate(grid, sol)
 
 
 def airy_kernel_f2(s: float, n_nodes: int = 60, upper: float = 12.0) -> float:

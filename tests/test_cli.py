@@ -298,3 +298,32 @@ def test_negative_seed_is_domain_rejection(workspace):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("domain rejection: seed -1 outside"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+_GOOD_ITEM = {"check": "sum_rules", "spectrum": "identity:M=20,N=20"}
+_OPTICAL = {"check": "optical", "spectrum": "identity:M=20,N=20"}
+
+
+@pytest.mark.parametrize("argv, manifest, named", [
+    (["flow-verify"], [_GOOD_ITEM, {"check": "optical", "reps": 5}], ["item 1", "'spectrum'"]),
+    (["flow-verify"], [_GOOD_ITEM, {"spectrum": "identity:M=20,N=20"}], ["item 1", "'check'"]),
+    (["flow-verify"], [_GOOD_ITEM, 5], ["item 1", "got 5"]),
+    (["flow-verify"], [dict(_OPTICAL, reps="x")], ["item 0", "reps", "'x'"]),
+    (["flow-verify"], [dict(_OPTICAL, reps=0)], ["item 0", "reps"]),
+    (["flow-verify"], [dict(_OPTICAL, check="optics")], ["item 0", '"optics"']),
+    (["compare", "--spectrum", "identity:M=20,N=20", "--reps", "0"], None, ["reps"]),
+    (["tw-table", "--smin", "2", "--smax", "1"], None, ["s_min", "s_max"]),
+    (["tw-table", "--step", "0"], None, ["step"]),
+], ids=["no-spectrum", "no-check", "not-an-object", "reps-not-a-number", "reps-zero",
+        "unknown-kind", "compare-reps-zero", "tw-table-empty-range", "tw-table-step-zero"])
+def test_malformed_input_is_domain_rejection(tmp_path, capsys, argv, manifest, named):
+    if manifest is not None:
+        (tmp_path / "checks.json").write_text(json.dumps(manifest))
+        argv = argv + ["--manifest", str(tmp_path / "checks.json")]
+    if argv[0] != "tw-table":
+        argv = argv + ["--threads", "1"]
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DOMAIN, err
+    assert err.startswith("domain rejection: ") and all(name in err for name in named), err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,42 @@ def test_one_replicate_engine():
     for token in ("Philox(", "ProcessPoolExecutor("):
         counts = {path.name: path.read_text().count(token) for path in sorted(src.glob("*.py"))}
         assert {name: n for name, n in counts.items() if n} == {"ensemble.py": 1}, token
+
+
+def _functions_containing(token: str) -> set:
+    """module.qualname of the innermost function around each occurrence of token in src/."""
+    found = set()
+    for path in sorted(Path(ek.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        spans = []
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                name = prefix
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    if isinstance(child, ast.FunctionDef):
+                        spans.append((child.lineno, child.end_lineno, name))
+                visit(child, name)
+
+        visit(ast.parse(text), path.stem)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if token in line:
+                around = [s for s in spans if s[0] <= lineno <= s[1]]
+                found.add(min(around, key=lambda s: s[1] - s[0])[2] if around else path.stem)
+    return found
+
+
+@pytest.mark.parametrize("token, owners", [
+    ("cumulative_simpson(", {"tracy_widom._tabulate"}),                  # F1 and F2
+    ("N ** (-2.0 / 3.0", {"green.edge_window"}),                         # the edge window
+    ("sqrt(max(", {"green._psi"}),                                       # the control parameter
+    ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents
+                        "green.verify_schur"}),
+])
+def test_one_evaluator_per_quantity(token, owners):
+    # each quantity is computed in one place, which every caller goes through
+    assert _functions_containing(token) == owners
 
 
 def test_top_eigenvalues_zero_matrix():

@@ -43,6 +43,12 @@ def test_domain_rejections():
         ek.hastings_mcleod(s_min=-5.0)
     with pytest.raises(DomainRejectionError):
         ek.hastings_mcleod(s_max=4.0)
+    for step in (0.0, -0.01, float("nan")):
+        with pytest.raises(DomainRejectionError, match="step"):
+            ek.tw_table(step=step)
+    for s_min, s_max in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(DomainRejectionError, match="s_min"):
+            ek.tw_table(s_min, s_max)
 
 
 def test_f2_against_fredholm(hm_solution):
@@ -69,6 +75,9 @@ def test_extrapolation_refused(hm_solution):
         ek.tw_cdf(1, -11.0, hm_solution)
     with pytest.raises(DomainRejectionError):
         ek.tw_cdf(2, 7.5, hm_solution)
+    # a table reads the same solution and refuses points beyond it too
+    with pytest.raises(DomainRejectionError, match="extrapolation refused"):
+        ek.tw_table(-12.0, 6.0, sol=hm_solution)
 
 
 def test_table_monotone_and_limits(tw_reference):
@@ -87,6 +96,26 @@ def test_table_matches_fredholm_spots(tw_reference):
     for s in (-5.0, -2.5, 0.0, 1.5, 3.0):
         idx = np.searchsorted(tw_reference.grid, s)
         assert tw_reference.F2[idx] == pytest.approx(ek.airy_kernel_f2(s), abs=1e-6)
+
+
+def test_table_off_painleve_nodes_matches_fredholm(hm_solution):
+    # step 0.0075 from -9.9975 puts every other table point midway between two
+    # of the solution's nodes (spacing 0.005); linear interpolation of the
+    # suffix integrals missed the Fredholm F2 by 1.4e-6 there
+    table = ek.tw_table(-9.9975, 6.0, 0.0075, sol=hm_solution)
+    gap = np.min(np.abs(table.grid[:, None] - hm_solution.grid[None, :]), axis=1)
+    spots = np.flatnonzero((table.grid >= -6.0) & (table.grid <= 3.0) & (gap > 2e-3))[::50]
+    assert spots.size >= 10
+    for idx in spots:
+        assert table.F2[idx] == pytest.approx(ek.airy_kernel_f2(float(table.grid[idx])), abs=1e-10)
+
+
+def test_cdf_equals_table_at_nodes(hm_solution, tw_reference):
+    # one evaluator: tw_cdf reproduces the table bit for bit at its nodes
+    for idx in range(0, tw_reference.grid.size, 97):
+        s = float(tw_reference.grid[idx])
+        assert ek.tw_cdf(1, s, hm_solution) == tw_reference.F1[idx]
+        assert ek.tw_cdf(2, s, hm_solution) == tw_reference.F2[idx]
 
 
 def test_table_densities_normalize(tw_reference):
