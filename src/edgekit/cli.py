@@ -21,8 +21,8 @@ import numpy as np
 
 from . import detect as detect_mod
 from . import green
-from .ensemble import (EnsembleConfig, EntryDistribution, ks_statistic, run_monte_carlo,
-                       sample_data_matrix, top_eigenvalues)
+from .ensemble import (EnsembleConfig, EntryDistribution, covariance_replicate, ks_statistic,
+                       map_replicates, run_monte_carlo)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import coefficient_identities_check, flow_state, zdot_check
 from .population import SUBCRITICAL_MARGIN_DEFAULT, edge_params, load_spectrum
@@ -189,7 +189,7 @@ def cmd_detect(args) -> int:
     table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed, threads=args.threads)
     table_id = f"goe_R_N{table_N}_n{args.null_reps}_seed{args.table_seed}"
     config = EnsembleConfig(spec, replicates=1, k=3, seed=args.seed)
-    mus = top_eigenvalues(sample_data_matrix(config, 0), spec, 3)
+    mus = map_replicates(covariance_replicate, [(config, 0)], args.threads)[0]
     result = detect_mod.detect(mus[0], mus[1], mus[2], table, table_id=table_id)
     out = _outdir(args)
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)

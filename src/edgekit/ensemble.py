@@ -12,14 +12,16 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
     decoupling, frozen base b                        (seed, 2^63 + 1000 + b)
     decoupling, resampled row r of base b            (seed, (b << 32) + r)
 
-So outputs do not depend on --threads.  They do depend on the BLAS thread
-count: samples.csv differs in its last digits between OPENBLAS_NUM_THREADS=1
-and =2.  `detect`'s one draw and replicate 0 of its null table share the
-stream (seed, 0) when --seed equals --table-seed; this touches one table entry.
+So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
+count: on Linux the replicate engine pins every loaded OpenBLAS to one thread.
+`detect`'s one draw and replicate 0 of its null table share the stream
+(seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -156,19 +158,57 @@ def _attributed(worker, indexed_job):
         raise ConvergenceError(f"{getattr(worker, 'job_name', 'replicate')} {index}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS loaded in this process on one thread, restoring the old counts on exit.
+
+    The libraries are read from /proc/self/maps: numpy's (64-bit integers) and,
+    once scipy.linalg is imported, scipy's.  Where that file does not exist,
+    nothing changes.
+    """
+    controls = []
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(line.split()[-1] for line in maps
+                                  if "openblas" in line and ".so" in line)
+    except OSError:
+        paths = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):  # numpy's symbols carry the suffix, scipy's do not
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((set_, get()))
+    for set_, _ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, count in controls:
+            set_(count)
+
+
 def map_replicates(worker, jobs: list, threads: int) -> list:
-    """[worker(job) for job in jobs], in order, on `threads` processes.
+    """[worker(job) for job in jobs], in order, on min(threads, len(jobs)) processes.
 
     worker must be a module-level function.  A ConvergenceError or LinAlgError
     in worker(jobs[i]) is raised as ConvergenceError("replicate i: ...") on
     either path, or with worker.job_name in place of "replicate" when a job
-    is not one replicate.
+    is not one replicate.  Every job runs with BLAS on one thread, so its cost
+    and its rounding do not depend on OPENBLAS_NUM_THREADS; forked workers
+    inherit that setting.
     """
     run = functools.partial(_attributed, worker)
-    if threads <= 1:
-        return [run(job) for job in enumerate(jobs)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, enumerate(jobs), chunksize=max(1, len(jobs) // (8 * threads))))
+    workers = min(threads, len(jobs))
+    with _one_blas_thread():
+        if workers <= 1:
+            return [run(job) for job in enumerate(jobs)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(jobs) // (8 * workers))
+            return list(pool.map(run, enumerate(jobs), chunksize=chunksize))
 
 
 def sample_data_matrix(config: EnsembleConfig, replicate_index: int) -> np.ndarray:
@@ -181,9 +221,10 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
     """Top k eigenvalues of X^* Sigma X (Sigma diagonal = spectrum eigenvalues).
 
     Works with whichever of the M x M / N x N symmetrizations is smaller; both
-    share the nonzero spectrum.  With validate=True the top-k eigenpairs are
-    recomputed with vectors and the residuals ||A v - lambda v|| checked
-    against 1e-8 ||A||.
+    share the nonzero spectrum, and solves for its top k alone (LAPACK dsyevr,
+    the MRRR algorithm of Dhillon & Parlett 2004).  With validate=True all
+    eigenpairs are computed and the residuals ||A v - lambda v|| of the top k
+    checked against 1e-8 ||A||.
     """
     M, N = X.shape
     sig = spectrum.eigenvalues
@@ -207,7 +248,12 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
                         f"eigenpair residual {resid:.3e} exceeds 1e-8*||A||={1e-8 * norm:.3e} "
                         f"(cond diag: ||A||={norm:.3e}, trace={np.trace(A):.3e})")
         else:
-            vals = np.linalg.eigvalsh(A)
+            from scipy.linalg import eigh
+
+            # A is C-ordered, so LAPACK works on a Fortran copy and A survives for the message below
+            n = A.shape[0]
+            vals = eigh(A, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
+                        overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
@@ -219,7 +265,8 @@ def rescale_edge(mus: np.ndarray, edge: EdgeParams, N: int) -> np.ndarray:
     return edge.gamma0 * N ** (2.0 / 3.0) * (np.asarray(mus, dtype=float) - edge.E_plus)
 
 
-def _covariance_worker(args):
+def covariance_replicate(args):
+    """Top config.k eigenvalues of replicate rep of config, for args = (config, rep)."""
     config, rep = args
     X = sample_data_matrix(config, rep)
     return top_eigenvalues(X, config.spectrum, config.k)
@@ -232,10 +279,14 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     Failures propagate with the replicate index attached.  Results are a pure
     function of (config, seed) regardless of threads.
     """
+    # imported before the pool starts: forked workers inherit it, and the BLAS pin
+    # in map_replicates finds scipy's OpenBLAS already loaded
+    import scipy.linalg  # noqa: F401
+
     if edge is None:
         edge = edge_params(config.spectrum, require_subcritical=True)
     jobs = [(config, r) for r in range(config.replicates)]
-    raw = np.array(map_replicates(_covariance_worker, jobs, threads))
+    raw = np.array(map_replicates(covariance_replicate, jobs, threads))
     return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 

@@ -45,6 +45,9 @@ class PopulationSpectrum:
             raise DomainRejectionError(f"matrix dimensions must be positive, got M={self.M}, N={self.N}")
         if eig.ndim != 1 or eig.size != self.M:
             raise DomainRejectionError(f"expected {self.M} eigenvalues, got array of shape {eig.shape}")
+        bad = np.nonzero(~np.isfinite(eig))[0]
+        if bad.size:
+            raise DomainRejectionError(f"non-finite eigenvalue at index {bad[0]}: {eig[bad[0]]}")
         bad = np.nonzero(~(eig > 0.0))[0]
         if bad.size:
             raise DomainRejectionError(f"non-positive eigenvalue at index {bad[0]}: {eig[bad[0]]}")
@@ -121,6 +124,23 @@ def uniform_spectrum(lo: float, hi: float, M: int, N: int) -> PopulationSpectrum
 
 
 _DESCRIPTOR_RE = re.compile(r"^(identity|twopoint|uniform):(.*)$")
+# each kind's constructor and its fields, in the order it takes them
+_DESCRIPTOR_KINDS = {"identity": (identity_spectrum, ("M", "N")),
+                     "twopoint": (two_point_spectrum, ("a", "b", "w", "M", "N")),
+                     "uniform": (uniform_spectrum, ("lo", "hi", "M", "N"))}
+
+
+def _descriptor_value(key: str, val: str, text: str):
+    """The dimensions M and N are integers; every other field is a finite number."""
+    integral = key in ("M", "N")
+    try:
+        value = int(val) if integral else float(val)
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        expected = "an integer" if integral else "a finite number"
+        raise DomainRejectionError(f"descriptor field {key}={val!r} in {text!r} must be {expected}")
+    return value
 
 
 def parse_descriptor(text: str) -> PopulationSpectrum:
@@ -129,6 +149,7 @@ def parse_descriptor(text: str) -> PopulationSpectrum:
     if m is None:
         raise DomainRejectionError(f"unrecognized spectrum descriptor: {text!r}")
     kind, body = m.groups()
+    build, fields = _DESCRIPTOR_KINDS[kind]
     kv = {}
     for piece in body.split(","):
         if not piece:
@@ -136,16 +157,15 @@ def parse_descriptor(text: str) -> PopulationSpectrum:
         key, _, val = piece.partition("=")
         if not _:
             raise DomainRejectionError(f"malformed descriptor field {piece!r} in {text!r}")
-        kv[key.strip()] = val.strip()
-    try:
-        if kind == "identity":
-            return identity_spectrum(int(kv["M"]), int(kv["N"]))
-        if kind == "twopoint":
-            return two_point_spectrum(float(kv["a"]), float(kv["b"]), float(kv["w"]),
-                                      int(kv["M"]), int(kv["N"]))
-        return uniform_spectrum(float(kv["lo"]), float(kv["hi"]), int(kv["M"]), int(kv["N"]))
-    except KeyError as exc:
-        raise DomainRejectionError(f"descriptor {text!r} is missing field {exc}") from None
+        key = key.strip()
+        if key not in fields:
+            raise DomainRejectionError(
+                f"unknown descriptor field {key!r} in {text!r}; {kind} takes {', '.join(fields)}")
+        kv[key] = _descriptor_value(key, val.strip(), text)
+    missing = [key for key in fields if key not in kv]
+    if missing:
+        raise DomainRejectionError(f"descriptor {text!r} is missing field {missing[0]!r}")
+    return build(*(kv[key] for key in fields))
 
 
 def load_spectrum(source) -> PopulationSpectrum:
@@ -174,6 +194,8 @@ def load_spectrum(source) -> PopulationSpectrum:
             raise DomainRejectionError(f"{path}:{lineno}: not a number: {line!r}") from None
         if value <= 0:
             raise DomainRejectionError(f"{path}:{lineno}: non-positive eigenvalue {value}")
+        if not np.isfinite(value):
+            raise DomainRejectionError(f"{path}:{lineno}: non-finite eigenvalue {value}")
         eigs.append(value)
     if N is None:
         raise DomainRejectionError(f"{path}: missing '# N=<int>' header")

@@ -23,9 +23,9 @@ def _child_env(cache, cwd):
             "PYTHONPATH": _CHILD_PYTHONPATH}
 
 
-def run_cli(args, cache, cwd):
-    return subprocess.run([sys.executable, "-m", "edgekit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=_child_env(cache, cwd))
+def run_cli(args, cache, cwd, **env):
+    return subprocess.run([sys.executable, "-m", "edgekit.cli", *args], capture_output=True,
+                          text=True, cwd=cwd, env=dict(_child_env(cache, cwd), **env))
 
 
 @pytest.fixture()
@@ -103,6 +103,22 @@ def test_simulate_byte_identical_across_threads(workspace):
     assert b1 == (cwd / "s3" / "samples.csv").read_bytes()
 
 
+def test_simulate_byte_identical_across_blas_threads(workspace):
+    # at N=400 OpenBLAS splits the Gram and the eigensolve when it may use two threads
+    cwd, cache = workspace
+    base = ["simulate", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=400,N=400",
+            "--reps", "20", "--k", "2", "--seed", "7"]
+    outputs = []
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = f"blas{blas}_threads{threads}"
+            proc = run_cli(base + ["--threads", threads, "--out", out], cache, cwd,
+                           OPENBLAS_NUM_THREADS=blas)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((cwd / out / "samples.csv").read_bytes())
+    assert all(b == outputs[0] for b in outputs[1:])
+
+
 def test_simulate_with_ks_uses_cached_table(workspace):
     cwd, cache = workspace
     proc = run_cli(["simulate", "--spectrum", "identity:M=150,N=150", "--reps", "60",
@@ -159,6 +175,20 @@ def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
                      "--threads", "1", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONVERGENCE
     assert capsys.readouterr().err.startswith("convergence failure: replicate 0: Eigenvalues")
+
+
+def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    code = cli.main(["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5",
+                     "--threads", "1", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err.startswith(
+        "convergence failure: replicate 0: symmetric eigensolver failed")
 
 
 def test_decoupling_failure_names_its_base(tmp_path, monkeypatch, capsys):
@@ -323,6 +353,23 @@ def test_malformed_input_is_domain_rejection(tmp_path, capsys, argv, manifest, n
     if argv[0] != "tw-table":
         argv = argv + ["--threads", "1"]
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DOMAIN, err
+    assert err.startswith("domain rejection: ") and all(name in err for name in named), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spectrum, named", [
+    ("twopoint:a=1,b=inf,w=0.5,M=10,N=10", ["field b=", "finite"]),
+    ("spec.txt", ["spec.txt:3", "non-finite", "inf"]),
+    ("uniform:lo=0.5,hi=inf,M=10,N=10", ["field hi=", "finite"]),
+    ("identity:M=10.5,N=10", ["field M=", "integer"]),
+    ("identity:M=10,N=10,x=3", ["unknown descriptor field 'x'"]),
+], ids=["twopoint-inf", "file-inf", "uniform-inf", "fractional-M", "unknown-key"])
+def test_malformed_spectrum_is_domain_rejection(tmp_path, monkeypatch, capsys, spectrum, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.txt").write_text("# N=10\n1.0\ninf\n")
+    code = cli.main(["edge", "--spectrum", spectrum, "--out", "out"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DOMAIN, err
     assert err.startswith("domain rejection: ") and all(name in err for name in named), err

@@ -1,10 +1,14 @@
 import ast
+import ctypes
+import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edgekit as ek
+from edgekit import ensemble
 from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
@@ -78,12 +82,74 @@ def test_map_replicates_names_failing_replicate(threads, error):
     assert str(info.value).startswith("replicate 3: no convergence")
 
 
+def _pid(job):
+    return os.getpid()
+
+
+def test_pool_capped_at_job_count(monkeypatch):
+    # one job runs in the calling process; two jobs start two workers, not four
+    assert map_replicates(_pid, [0], threads=8) == [os.getpid()]
+    sizes = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Recording)
+    pids = map_replicates(_pid, [0, 1], threads=4)
+    assert sizes == [2]
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+
+
+def _numpy_openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None where it cannot be found."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split()[-1] for line in maps if "openblas64" in line and ".so" in line]
+    except OSError:
+        return None
+    if not paths:
+        return None
+    lib = ctypes.CDLL(paths[0])
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
+
+
+def _blas_threads(job):
+    return _numpy_openblas_threads()[0]()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_replicates_run_on_one_blas_thread(threads):
+    # the pin holds in the calling process and in forked workers, and is undone on exit
+    controls = _numpy_openblas_threads()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS is not found in /proc/self/maps")
+    get, set_ = controls
+    saved = get()
+    set_(2)
+    try:
+        assert map_replicates(_blas_threads, [0, 1], threads) == [1, 1]
+        assert get() == 2
+    finally:
+        set_(saved)
+
+
 def test_one_replicate_engine():
-    # every random stream and every worker pool is built in one place
+    # every random stream, every worker pool and the BLAS pin are built in one place
     src = Path(ek.__file__).parent
     for token in ("Philox(", "ProcessPoolExecutor("):
         counts = {path.name: path.read_text().count(token) for path in sorted(src.glob("*.py"))}
         assert {name: n for name, n in counts.items() if n} == {"ensemble.py": 1}, token
+    assert _functions_containing("set_num_threads") == {"ensemble._one_blas_thread"}
+    # replicates solve for their top k only
+    assert "np.linalg.eigvalsh(" not in (src / "ensemble.py").read_text()
 
 
 def _functions_containing(token: str) -> set:
@@ -154,6 +220,21 @@ def test_top_eigenvalues_rectangular_sides_agree():
     big = (spec.eigenvalues[:, None] * X).T @ X
     oracle = np.sort(np.linalg.eigvalsh(big))[::-1][:5]
     assert np.max(np.abs(small_side - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("M, N, rank", [(5, 9, 5), (9, 5, 5), (7, 7, 3), (6, 8, 0)],
+                         ids=["M<N", "M>N", "rank-deficient", "zero"])
+def test_top_eigenvalues_match_full_eigvalsh(M, N, rank):
+    # the top-k subset solve against every eigenvalue of the Gram, for every k
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((M, rank)) @ rng.standard_normal((rank, N)) / np.sqrt(N)
+    spec = ek.PopulationSpectrum(np.linspace(2.0, 1.0, M), M, N)
+    B = np.sqrt(spec.eigenvalues)[:, None] * X
+    A = B @ B.T if M <= N else B.T @ B
+    full = np.linalg.eigvalsh(A)[::-1]
+    tol = 1e-12 * max(1.0, np.linalg.norm(A, 2))
+    for k in range(1, min(M, N) + 1):
+        assert np.max(np.abs(ek.top_eigenvalues(X, spec, k) - full[:k])) <= tol, k
 
 
 def test_top_eigenvalues_validated_residuals():
