@@ -15,7 +15,6 @@ from .green import (CheckReport, GreenObservables, Linearization, build_lineariz
                     cancellation_check, comparison_functional, decoupling_residual,
                     flow_checks, local_law_probe, observables, optical_residual, verify_schur,
                     ward_check)
-from .detect import (DetectionResult, calibrate_null, calibrate_null_covariance, p_value,
-                     r_statistic)
+from .detect import DetectionResult, calibrate_null, p_value, r_statistic
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import null_reference_W, sample_goe_top
+from .ensemble import sample_goe_top
 
 _GAP_EPS = 1e-14
 
@@ -46,18 +46,6 @@ def calibrate_null(N: int, replicates: int, seed: int, threads: int = 1) -> np.n
     if replicates < 1000:
         raise DomainRejectionError("need >= 1000 replicates for 1e-3 p-value resolution")
     tops = sample_goe_top(N, 3, replicates, seed, threads=threads).raw
-    return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
-
-
-def calibrate_null_covariance(N: int, M: int, replicates: int, seed: int,
-                              threads: int = 1) -> np.ndarray:
-    """Diagnostic R table from the null-case covariance ensemble.
-
-    Cross-checks the GOE-based table: both converge to the same gap-ratio law.
-    """
-    if replicates < 1000:
-        raise DomainRejectionError("need >= 1000 replicates for 1e-3 p-value resolution")
-    tops = null_reference_W(N, M, replicates, seed, k=3, threads=threads).raw
     return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
 
 

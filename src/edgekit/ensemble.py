@@ -14,6 +14,10 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
 count: on Linux the replicate engine pins every loaded OpenBLAS to one thread.
+Within one map_replicates call each process reuses its dense arrays (the data
+matrix, its weighted copy, the Gram) from one replicate to the next, through
+`workspace`, and releases them when the call returns; every in-place step
+computes what its out-of-place form did, so outputs do not change.
 `detect`'s one draw and replicate 0 of its null table share the stream
 (seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
@@ -24,6 +28,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -59,23 +64,22 @@ class EntryDistribution:
         b = -np.sqrt(self.p / (1.0 - self.p))
         return self.p * a + (1.0 - self.p) * b, self.p * a * a + (1.0 - self.p) * b * b
 
-    def third_moment(self) -> float:
+    def sample(self, rng: np.random.Generator, M: int, N: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """M x N matrix of independent entries with variance 1/N, drawn into out when given."""
+        if out is None:
+            out = np.empty((M, N))
         if self.kind == "gaussian":
-            return 0.0
-        if self.kind == "rademacher":
-            return 0.0
-        return (1.0 - 2.0 * self.p) / np.sqrt(self.p * (1.0 - self.p))
-
-    def sample(self, rng: np.random.Generator, M: int, N: int) -> np.ndarray:
-        """M x N matrix of independent entries with variance 1/N."""
-        root_n = np.sqrt(N)
-        if self.kind == "gaussian":
-            return rng.standard_normal((M, N)) / root_n
-        if self.kind == "rademacher":
-            return (rng.integers(0, 2, size=(M, N)).astype(float) * 2.0 - 1.0) / root_n
-        a = np.sqrt((1.0 - self.p) / self.p)
-        b = -np.sqrt(self.p / (1.0 - self.p))
-        return np.where(rng.random((M, N)) < self.p, a, b) / root_n
+            rng.standard_normal(size=(M, N), out=out)
+        elif self.kind == "rademacher":
+            np.multiply(rng.integers(0, 2, size=(M, N)), 2.0, out=out)
+            out -= 1.0
+        else:
+            a = np.sqrt((1.0 - self.p) / self.p)
+            b = -np.sqrt(self.p / (1.0 - self.p))
+            np.copyto(out, np.where(rng.random((M, N)) < self.p, a, b))
+        out /= np.sqrt(N)
+        return out
 
 
 GAUSSIAN = EntryDistribution()  # draws every Gaussian data matrix in edgekit, green's too
@@ -191,6 +195,29 @@ def _one_blas_thread():
             set_(count)
 
 
+# .arrays: name -> array while this thread runs map_replicates; per thread, so two
+# threads that each run one never share an array
+_held = threading.local()
+
+
+def workspace(name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of this shape for a replicate's scratch work.
+
+    While map_replicates runs, each process keeps one array per name and hands
+    the same one out again, so a replicate allocates nothing of its size once
+    the first has run; elsewhere the array is a fresh np.empty.  A caller
+    writes every element before reading any, and never returns the array or a
+    view of it.
+    """
+    arrays = getattr(_held, "arrays", None)
+    if arrays is None:
+        return np.empty(shape)
+    arr = arrays.get(name)
+    if arr is None or arr.shape != shape:
+        arr = arrays[name] = np.empty(shape)
+    return arr
+
+
 def map_replicates(worker, jobs: list, threads: int) -> list:
     """[worker(job) for job in jobs], in order, on min(threads, len(jobs)) processes.
 
@@ -199,21 +226,42 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
     either path, or with worker.job_name in place of "replicate" when a job
     is not one replicate.  Every job runs with BLAS on one thread, so its cost
     and its rounding do not depend on OPENBLAS_NUM_THREADS; forked workers
-    inherit that setting.
+    inherit that setting.  Jobs reuse the arrays `workspace` hands out, each
+    process its own, until the call returns or raises; then they are released.
     """
     run = functools.partial(_attributed, worker)
     workers = min(threads, len(jobs))
-    with _one_blas_thread():
-        if workers <= 1:
-            return [run(job) for job in enumerate(jobs)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(jobs) // (8 * workers))
-            return list(pool.map(run, enumerate(jobs), chunksize=chunksize))
+    previous = getattr(_held, "arrays", None)
+    _held.arrays = {}  # set before the pool forks: each worker fills its own copy
+    try:
+        with _one_blas_thread():
+            if workers <= 1:
+                return [run(job) for job in enumerate(jobs)]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunksize = max(1, len(jobs) // (8 * workers))
+                return list(pool.map(run, enumerate(jobs), chunksize=chunksize))
+    finally:
+        _held.arrays = previous
 
 
-def sample_data_matrix(config: EnsembleConfig, replicate_index: int) -> np.ndarray:
+def sample_data_matrix(config: EnsembleConfig, replicate_index: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
     rng = replicate_rng(config.seed, replicate_index)
-    return config.entries.sample(rng, config.spectrum.M, config.spectrum.N)
+    return config.entries.sample(rng, config.spectrum.M, config.spectrum.N, out=out)
+
+
+def _gram(X: np.ndarray, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The smaller symmetrization of X^* Sigma X, written into out.
+
+    M <= N: B B^T with B = Sigma^{1/2} X, which BLAS forms by syrk, so it is
+    exactly symmetric.  M > N: (Sigma X)^T X by gemm.
+    """
+    M, N = X.shape
+    if M <= N:
+        B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
+        return np.matmul(B, B.T, out=out)
+    B = np.multiply(sig[:, None], X, out=workspace("scaled", (M, N)))
+    return np.matmul(B.T, X, out=out)
 
 
 def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
@@ -224,7 +272,7 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
     share the nonzero spectrum, and solves for its top k alone (LAPACK dsyevr,
     the MRRR algorithm of Dhillon & Parlett 2004).  With validate=True all
     eigenpairs are computed and the residuals ||A v - lambda v|| of the top k
-    checked against 1e-8 ||A||.
+    checked against 1e-8 ||A||.  X is left unchanged.
     """
     M, N = X.shape
     sig = spectrum.eigenvalues
@@ -232,11 +280,8 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
         raise DomainRejectionError(f"spectrum has {sig.size} eigenvalues but X has {M} rows")
     if k > min(M, N):
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
-    if M <= N:
-        B = np.sqrt(sig)[:, None] * X
-        A = B @ B.T
-    else:
-        A = (sig[:, None] * X).T @ X
+    n = min(M, N)
+    A = _gram(X, sig, workspace("gram", (n, n)))
     try:
         if validate:
             vals, vecs = np.linalg.eigh(A)
@@ -250,11 +295,18 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
         else:
             from scipy.linalg import eigh
 
-            # A is C-ordered, so LAPACK works on a Fortran copy and A survives for the message below
-            n = A.shape[0]
-            vals = eigh(A, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
+            # LAPACK reads the lower triangle of a Fortran-ordered matrix.  The syrk
+            # Gram is exactly symmetric, so A.T is that matrix and is solved in place;
+            # gemm's can differ across the diagonal in the last bit, so it is copied.
+            if M <= N:
+                F = A.T
+            else:
+                F = workspace("gram_fortran", (n, n)).T
+                F[...] = A
+            vals = eigh(F, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
                         overwrite_a=True)
     except np.linalg.LinAlgError as exc:
+        A = _gram(X, sig, np.empty((n, n)))  # the eigensolve may have overwritten it
         raise ConvergenceError(
             f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
             f"trace={np.trace(A):.3e}") from exc
@@ -268,7 +320,7 @@ def rescale_edge(mus: np.ndarray, edge: EdgeParams, N: int) -> np.ndarray:
 def covariance_replicate(args):
     """Top config.k eigenvalues of replicate rep of config, for args = (config, rep)."""
     config, rep = args
-    X = sample_data_matrix(config, rep)
+    X = sample_data_matrix(config, rep, out=workspace("X", (config.spectrum.M, config.spectrum.N)))
     return top_eigenvalues(X, config.spectrum, config.k)
 
 

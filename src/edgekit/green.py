@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, map_replicates, replicate_rng
+from .ensemble import GAUSSIAN, map_replicates, replicate_rng, workspace
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -80,6 +80,13 @@ def build_linearization(X: np.ndarray, t_alpha: np.ndarray, z: complex) -> Linea
     H[N:, :N] = X
     H[N:, N:] = -np.diag(1.0 / t_alpha)
     return Linearization(H=H, N=N, M=M, z=z, t_alpha=t_alpha)
+
+
+def _q_matrix(X: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
+    """X^* T X for a real X, formed in the replicate engine's workspace (see ensemble.workspace)."""
+    M, N = X.shape
+    TX = np.multiply(t_alpha[:, None], X, out=workspace("scaled", (M, N)))
+    return np.matmul(TX.T, X, out=workspace("gram", (N, N)))
 
 
 def roman_green(X: np.ndarray, t_alpha: np.ndarray, z: complex) -> np.ndarray:
@@ -231,9 +238,9 @@ def _avg_observables(tr1, tr2, tr3, tr4, N: int):
 
 def _x3_x4_worker(args):
     state, z, seed, rep = args
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N)
-    Q = (state.t_alpha[:, None] * X).T @ X
-    w = 1.0 / (np.linalg.eigvalsh(Q) - z)
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
+                        out=workspace("X", (state.M, state.N)))
+    w = 1.0 / (np.linalg.eigvalsh(_q_matrix(X, state.t_alpha)) - z)
     m, X22, X33, X44, X44p = _avg_observables(w.sum(), (w ** 2).sum(), (w ** 3).sum(),
                                               (w ** 4).sum(), state.N)
     return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
@@ -358,7 +365,7 @@ def _decoupling_base(args):
     N = state.N
     X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, N)  # frozen base
     X[alpha, :] = 0.0
-    lam, V = np.linalg.eigh((state.t_alpha[:, None] * X).T @ X)
+    lam, V = np.linalg.eigh(_q_matrix(X, state.t_alpha))
     rows = np.array([GAUSSIAN.sample(replicate_rng(seed, (base << 32) + r), 1, N)[0]
                      for r in range(per_base)])
     g_pow = (1.0 / (lam - z))[:, None] ** np.arange(1, 6)  # (N, 5): g_j^p for p = 1..5
@@ -429,8 +436,9 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
 
 def _functional_worker(args):
     state, xs, weights, eta, seed, rep = args
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N)
-    lam = np.linalg.eigvalsh((state.t_alpha[:, None] * X).T @ X)
+    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
+                        out=workspace("X", (state.M, state.N)))
+    lam = np.linalg.eigvalsh(_q_matrix(X, state.t_alpha))
     vals = np.array([np.mean(1.0 / (lam - (x + state.L_plus_t + 1j * eta))).imag for x in xs])
     return state.N * np.dot(weights, vals)
 

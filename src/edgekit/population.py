@@ -184,9 +184,13 @@ def load_spectrum(source) -> PopulationSpectrum:
         if not line:
             continue
         if line.startswith("#"):
-            hm = re.search(r"N\s*=\s*(\d+)", line)
+            hm = re.search(r"N\s*=\s*([^\s,;]+)", line)
             if hm:
-                N = int(hm.group(1))
+                try:
+                    N = int(hm.group(1))
+                except ValueError:
+                    raise DomainRejectionError(
+                        f"{path}:{lineno}: header N={hm.group(1)!r} must be an integer") from None
             continue
         try:
             value = float(line)
@@ -265,7 +269,14 @@ def edge_location(spec: PopulationSpectrum, xi_plus: float) -> float:
 
 def scaling_factor(spec: PopulationSpectrum, xi_plus: float) -> float:
     """Cube-root scaling factor gamma0 normalizing the edge fluctuations."""
-    cube = spec.moment(lambda s: (s / (1.0 - s * xi_plus)) ** 3) / spec.d + xi_plus ** -3
+    try:
+        cube = spec.moment(lambda s: (s / (1.0 - s * xi_plus)) ** 3) / spec.d + xi_plus ** -3
+    except OverflowError:
+        cube = np.inf
+    if not np.isfinite(cube):
+        raise DomainRejectionError(
+            f"scaling factor overflows: gamma0^-3 exceeds the double range at "
+            f"xi_plus={xi_plus:.3e} (sigma_1={spec.sigma1:.3e})")
     return cube ** (-1.0 / 3.0)
 
 

@@ -180,15 +180,21 @@ def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
 def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
     import scipy.linalg
 
-    def failing_eigh(*args, **kwargs):
+    def failing_eigh(a, *args, **kwargs):
+        a[...] = np.nan  # with overwrite_a, a failed LAPACK call may leave its input destroyed
         raise np.linalg.LinAlgError("the algorithm failed to converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     code = cli.main(["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5",
                      "--threads", "1", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONVERGENCE
-    assert capsys.readouterr().err.startswith(
-        "convergence failure: replicate 0: symmetric eigensolver failed")
+    err = capsys.readouterr().err
+    assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed"), err
+    # the message describes the Gram of replicate 0, not what the eigensolver left of it
+    spec = edgekit.identity_spectrum(20, 20)
+    X = edgekit.sample_data_matrix(edgekit.EnsembleConfig(spec, seed=0), 0)
+    gram = X @ X.T
+    assert f"||A||_F={np.linalg.norm(gram):.3e}, trace={np.trace(gram):.3e}" in err, err
 
 
 def test_decoupling_failure_names_its_base(tmp_path, monkeypatch, capsys):
@@ -365,12 +371,28 @@ def test_malformed_input_is_domain_rejection(tmp_path, capsys, argv, manifest, n
     ("uniform:lo=0.5,hi=inf,M=10,N=10", ["field hi=", "finite"]),
     ("identity:M=10.5,N=10", ["field M=", "integer"]),
     ("identity:M=10,N=10,x=3", ["unknown descriptor field 'x'"]),
-], ids=["twopoint-inf", "file-inf", "uniform-inf", "fractional-M", "unknown-key"])
+    ("half.txt", ["half.txt:1", "N='10.5'", "integer"]),
+], ids=["twopoint-inf", "file-inf", "uniform-inf", "fractional-M", "unknown-key",
+        "file-fractional-N"])
 def test_malformed_spectrum_is_domain_rejection(tmp_path, monkeypatch, capsys, spectrum, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spec.txt").write_text("# N=10\n1.0\ninf\n")
+    (tmp_path / "half.txt").write_text("# N=10.5\n1.0\n2.0\n")
     code = cli.main(["edge", "--spectrum", spectrum, "--out", "out"])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DOMAIN, err
     assert err.startswith("domain rejection: ") and all(name in err for name in named), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["edge"], ["simulate", "--reps", "20", "--threads", "1"]],
+                         ids=["edge", "simulate"])
+@pytest.mark.parametrize("scale", ["1e200", "1e308"])
+def test_edge_overflow_is_domain_rejection(tmp_path, capsys, command, scale):
+    # gamma0^-3 grows like sigma_1^3: past the double range the spectrum is rejected
+    spectrum = f"twopoint:a={scale},b={scale},w=0.5,M=10,N=10"
+    code = cli.main(command + ["--spectrum", spectrum, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DOMAIN, err
+    assert err.startswith("domain rejection: scaling factor overflows"), err
     assert not (tmp_path / "out").exists()

@@ -93,7 +93,8 @@ def test_spike_power_smoke():
 def test_covariance_null_table_diagnostic():
     # the covariance-null gap-ratio table agrees with the GOE table in law
     goe = ek.calibrate_null(150, 2000, seed=11)
-    cov = ek.calibrate_null_covariance(150, 150, 2000, seed=12)
+    tops = ek.null_reference_W(150, 150, 2000, seed=12, k=3).raw
+    cov = np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
     xy = np.sort(np.concatenate([goe, cov]))
     Fg = np.searchsorted(goe, xy, side="right") / goe.size
     Fc = np.searchsorted(cov, xy, side="right") / cov.size

