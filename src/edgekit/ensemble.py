@@ -18,6 +18,8 @@ Within one map_replicates call each process reuses its dense arrays (the data
 matrix, its weighted copy, the Gram) from one replicate to the next, through
 `workspace`, and releases them when the call returns; every in-place step
 computes what its out-of-place form did, so outputs do not change.
+A constant population needs no data matrix at all: `laguerre_tridiagonal`
+draws the spectrum of X^* X in tridiagonal form (`compare` uses it).
 `detect`'s one draw and replicate 0 of its null table share the stream
 (seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
@@ -357,6 +359,28 @@ def _goe_worker(args):
     off = np.sqrt(rng.chisquare(np.arange(N - 1, 0, -1)) / N)
     vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(N - k, N - 1))
     return vals[::-1]
+
+
+def laguerre_tridiagonal(rng: np.random.Generator, M: int, N: int):
+    """(d, e), the diagonal and off-diagonal of an N x N symmetric tridiagonal matrix
+    with the spectrum of X^* X, for X an M x N matrix of independent N(0, 1/N) entries.
+
+    The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `_goe_worker`'s
+    twin: Golub-Kahan bidiagonalization of the wide one of sqrt(N) X and its
+    transpose, n = min(M, N) rows by m = max(M, N), leaves a lower bidiagonal B
+    with independent entries, chi_{m-j+1} on the diagonal and chi_{n-j} below
+    it (j = 1..n), and B B^T / N has the nonzero spectrum of X^* X.  For M < N
+    the last N - M rows are zero: the zero eigenvalues of X^* X.  Costs
+    2 min(M, N) - 1 chi-square draws and no dense matrix.
+    """
+    n, m = min(M, N), max(M, N)
+    diag2 = rng.chisquare(np.arange(m, m - n, -1))  # B_jj^2
+    sub2 = rng.chisquare(np.arange(n - 1, 0, -1))  # B_{j+1,j}^2
+    d, e = np.zeros(N), np.zeros(N - 1)
+    d[:n] = diag2
+    d[1:n] += sub2
+    e[:n - 1] = np.sqrt(diag2[:-1] * sub2)
+    return d / N, e / N
 
 
 def sample_goe_top(N: int, k: int, replicates: int, seed: int, threads: int = 1) -> EdgeSamples:

@@ -26,6 +26,11 @@ The decoupling check resamples one row of X inside a frozen base: a rank-one
 change of X^* T X.  So each base is one job with one eigendecomposition, and
 every resampled row follows from the one-row resolvent identity (the identity
 the decoupling expansion is built from) by O(N) spectral sums.
+
+The comparison functional draws Q for a constant population T = cI as a
+tridiagonal J (the beta = 1 Laguerre model, `ensemble.laguerre_tridiagonal`)
+and reads Tr (Q - z)^{-1} off the pivots of J - z: no dense matrix and no
+eigensolve.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, map_replicates, replicate_rng, workspace
+from .ensemble import GAUSSIAN, laguerre_tridiagonal, map_replicates, replicate_rng, workspace
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -434,8 +439,40 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
                        _status(resid, ci, leading * slack))
 
 
+def _constant(state: FlowState) -> bool:
+    """t_alpha all equal: X^* T X is t X^* X, whose law the Laguerre tridiagonal model draws."""
+    return bool(np.all(state.t_alpha == state.t_alpha[0]))
+
+
+def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Tr (J - z)^{-1} for the symmetric tridiagonal J = (d[r], e[r]) of each row r and
+    each z with Im z > 0, shape (rows, len(z)).
+
+    The LDL^T pivots of J - z, p_1 = d_1 - z and p_i = d_i - z - e_{i-1}^2 / p_{i-1},
+    multiply to det(J - z), so Tr (J - z)^{-1} = -sum_i p_i' / p_i with the z-derivative
+    p_i' = -1 + e_{i-1}^2 p_{i-1}' / p_{i-1}^2.  Every Im p_i <= -Im z, so no pivot
+    is smaller than Im z and the recurrence needs no pivoting.
+    """
+    z = np.asarray(z)[None, :]
+    e2 = e ** 2
+    p = d[:, :1] - z
+    dp = np.full(p.shape, -1.0 + 0.0j)
+    total = dp / p
+    for i in range(1, d.shape[1]):
+        ratio = e2[:, i - 1:i] / p
+        dp = ratio * dp / p - 1.0
+        p = d[:, i:i + 1] - z - ratio
+        total += dp / p
+    return -total
+
+
 def _functional_worker(args):
+    """N int Im m of one replicate, by a dense eigensolve; for a constant population,
+    the Laguerre tridiagonal of X^* X as one array (d, e), which `_functional_values`
+    evaluates."""
     state, xs, weights, eta, seed, rep = args
+    if _constant(state):
+        return np.concatenate(laguerre_tridiagonal(replicate_rng(seed, rep), state.M, state.N))
     X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
                         out=workspace("X", (state.M, state.N)))
     lam = np.linalg.eigvalsh(_q_matrix(X, state.t_alpha))
@@ -443,12 +480,29 @@ def _functional_worker(args):
     return state.N * np.dot(weights, vals)
 
 
+def _functional_values(state: FlowState, results: list, xs, weights, eta: float) -> np.ndarray:
+    """The per-replicate functional from `_functional_worker`'s results for state: a
+    constant population's tridiagonals go through `_tridiagonal_trace` all at once."""
+    if not _constant(state):
+        return np.array(results)
+    tri = state.t_alpha[0] * np.array(results)
+    trace = _tridiagonal_trace(tri[:, :state.N], tri[:, state.N:], xs + state.L_plus_t + 1j * eta)
+    return trace.imag @ weights
+
+
 def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: int, seed: int,
                           eps: float = DEFAULT_EPS, threads: int = 1):
     """Monte Carlo means of N int_{E1}^{E2} Im m(x + edge + i eta) dx for the
     renormalized covariance X^* T X and for the null reference, the same
     functional of the renormalized identity population, with their gap and a
-    bootstrap error bar (the smooth-function comparison at F = identity)."""
+    bootstrap error bar (the smooth-function comparison at F = identity).
+
+    A constant population (the null reference always; both halves on identity)
+    is drawn as the Laguerre tridiagonal J of Q, 2 min(M, N) - 1 chi-square
+    draws per replicate, and Tr (J - z)^{-1} at every quadrature node comes from
+    the pivot recurrence of J - z, for all replicates at once.  Other
+    populations draw X and eigensolve X^* T X.
+    """
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")
     if reps < 1:
@@ -465,7 +519,9 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     null_state = flow_state(identity_spectrum(spec.M, spec.N), 0.0)
     jobs = ([(tilde_state, xs, weights, eta, seed, r) for r in range(reps)]
             + [(null_state, xs, weights, eta, seed, _NULL_STREAM + r) for r in range(reps)])
-    tilde, null = np.array(map_replicates(_functional_worker, jobs, threads)).reshape(2, reps)
+    results = map_replicates(_functional_worker, jobs, threads)
+    tilde = _functional_values(tilde_state, results[:reps], xs, weights, eta)
+    null = _functional_values(null_state, results[reps:], xs, weights, eta)
     gap = float(tilde.mean() - null.mean())
     ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
     return float(tilde.mean()), float(null.mean()), gap, ci

@@ -230,6 +230,9 @@ def solve_xi_plus(spec: PopulationSpectrum, tol: float = DEFAULT_TOL) -> float:
     if tol <= 0:
         raise DomainRejectionError("tolerance must be positive")
     hi = 1.0 / spec.sigma1
+    if not np.isfinite(hi):
+        raise DomainRejectionError(
+            f"xi_plus underflows: 1/sigma_1 exceeds the double range at sigma_1={spec.sigma1:.3e}")
     lo, up = 0.0, hi
     # bisection on the sign of f; f(0+) = -d < 0, f -> +inf at 1/sigma_1
     while up - lo > _BISECT_TARGET * hi:
@@ -244,6 +247,9 @@ def solve_xi_plus(spec: PopulationSpectrum, tol: float = DEFAULT_TOL) -> float:
         f, fp = _f_and_deriv(spec, x)
         if abs(f) <= tol:
             return x
+        if fp == 0.0:  # positive in exact arithmetic: sigma^2 x has underflowed
+            raise DomainRejectionError(
+                f"xi_plus underflows: f'(x) is 0 at x={x:.3e} (sigma_1={spec.sigma1:.3e})")
         step = f / fp
         x_new = x - step
         if not (lo < x_new < up):  # keep the iterate inside the bracket
@@ -273,9 +279,10 @@ def scaling_factor(spec: PopulationSpectrum, xi_plus: float) -> float:
         cube = spec.moment(lambda s: (s / (1.0 - s * xi_plus)) ** 3) / spec.d + xi_plus ** -3
     except OverflowError:
         cube = np.inf
-    if not np.isfinite(cube):
+    if not 0.0 < cube < np.inf:
+        how = "underflows: gamma0^-3 falls below" if cube == 0.0 else "overflows: gamma0^-3 exceeds"
         raise DomainRejectionError(
-            f"scaling factor overflows: gamma0^-3 exceeds the double range at "
+            f"scaling factor {how} the double range at "
             f"xi_plus={xi_plus:.3e} (sigma_1={spec.sigma1:.3e})")
     return cube ** (-1.0 / 3.0)
 

@@ -4,8 +4,9 @@ Each oracle deliberately avoids the code path it checks: root bracketing via
 scipy's brentq, eigenvalues via characteristic polynomials or SVD, F1 via a
 determinant representation, the Painleve function via plain backward marching
 (valid right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
-explicit index loops for the Green observables, and a dense eigensolve per
-replicate for the decoupling check's rank-one updates.
+explicit index loops for the Green observables, a dense eigensolve per
+replicate for the decoupling check's rank-one updates, and dense X^T X draws
+for the Laguerre tridiagonal model.
 """
 
 import numpy as np
@@ -75,6 +76,17 @@ def dense_goe_top(N: int, k: int, replicates: int, seed: int) -> np.ndarray:
     for r in range(replicates):
         B = rng.standard_normal((N, N))
         rows[r] = np.linalg.eigvalsh((B + B.T) / np.sqrt(2.0 * N))[-k:][::-1]
+    return rows
+
+
+def dense_wishart_spectra(M: int, N: int, replicates: int, seed: int) -> np.ndarray:
+    """Eigenvalues, ascending, of X^T X for dense draws of X (M x N, entries N(0, 1/N)),
+    one row of N per replicate."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((replicates, N))
+    for r in range(replicates):
+        X = rng.standard_normal((M, N)) / np.sqrt(N)
+        rows[r] = np.linalg.eigvalsh(X.T @ X)
     return rows
 
 

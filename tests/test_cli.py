@@ -77,6 +77,28 @@ def test_cli_import_does_not_load_scipy(workspace):
     assert proc.stdout.strip() == "False"
 
 
+def test_green_commands_do_not_load_scipy(workspace):
+    # scipy's OpenBLAS would add ~20 MB to every green process: compare (dense and
+    # Laguerre halves) and all four flow checks run on numpy alone
+    cwd, cache = workspace
+    (cwd / "checks.json").write_text(json.dumps([
+        {"check": "sum_rules", "spectrum": "twopoint:a=1,b=2,w=0.5,M=30,N=30", "t": 0.5},
+        {"check": "optical", "spectrum": "twopoint:a=1,b=2,w=0.5,M=30,N=30", "reps": 20},
+        {"check": "cancellation", "spectrum": "twopoint:a=1,b=2,w=0.5,M=30,N=30", "reps": 20},
+        {"check": "decoupling", "spectrum": "identity:M=30,N=30", "reps": 20}]))
+    runs = [["compare", "--spectrum", "identity:M=30,N=40", "--reps", "10"],
+            ["compare", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=40,N=30", "--reps", "10"],
+            ["flow-verify", "--manifest", "checks.json"]]
+    code = ("import sys; from edgekit import cli; "
+            f"codes = [cli.main(argv + ['--threads', '2', '--out', f'out{{i}}']) "
+            f"for i, argv in enumerate({runs!r})]; "
+            "print(codes, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=_child_env(cache, cwd))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] False", proc.stdout
+
+
 def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
     # one Newton step per rung leaves most points unconverged
     monkeypatch.setattr(edgekit.stieltjes, "_NEWTON_STEPS", 1)
@@ -385,14 +407,21 @@ def test_malformed_spectrum_is_domain_rejection(tmp_path, monkeypatch, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+# the rejection each population scale meets first
+_SCALE_REJECTION = {"1e200": "scaling factor overflows", "1e308": "scaling factor overflows",
+                    "1e-120": "scaling factor underflows", "1e-200": "xi_plus underflows",
+                    "1e-310": "xi_plus underflows"}
+
+
 @pytest.mark.parametrize("command", [["edge"], ["simulate", "--reps", "20", "--threads", "1"]],
                          ids=["edge", "simulate"])
-@pytest.mark.parametrize("scale", ["1e200", "1e308"])
+@pytest.mark.parametrize("scale", list(_SCALE_REJECTION))
 def test_edge_overflow_is_domain_rejection(tmp_path, capsys, command, scale):
-    # gamma0^-3 grows like sigma_1^3: past the double range the spectrum is rejected
+    # gamma0^-3 grows like sigma_1^3 and xi_plus like 1/sigma_1: a spectrum whose edge
+    # quantities leave the double range, at either end, is rejected
     spectrum = f"twopoint:a={scale},b={scale},w=0.5,M=10,N=10"
     code = cli.main(command + ["--spectrum", spectrum, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == cli.EXIT_DOMAIN, err
-    assert err.startswith("domain rejection: scaling factor overflows"), err
+    assert err.startswith("domain rejection: " + _SCALE_REJECTION[scale]), err
     assert not (tmp_path / "out").exists()

@@ -15,8 +15,8 @@ from edgekit import ensemble, green
 from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
-from oracles import (charpoly_eigs_3x3, dense_goe_top, inverse_transform_samples, null_w_top,
-                     svd_squared)
+from oracles import (charpoly_eigs_3x3, dense_goe_top, dense_wishart_spectra,
+                     inverse_transform_samples, null_w_top, svd_squared)
 
 
 def _config(spec, **kw):
@@ -293,6 +293,7 @@ def _functions_containing(token: str) -> set:
     ("sqrt(max(", {"green._psi"}),                                       # the control parameter
     ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents
                         "green.verify_schur"}),
+    ("chisquare(", {"ensemble._goe_worker", "ensemble.laguerre_tridiagonal"}),  # beta = 1 models
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -415,6 +416,32 @@ def test_tridiagonal_goe_matches_dense():
     gap_ratio = lambda t: (t[:, 0] - t[:, 1]) / (t[:, 1] - t[:, 2])
     stats = [ek.two_sample_ks(tri[:, i], dense[:, i]) for i in range(3)]
     stats.append(ek.two_sample_ks(gap_ratio(tri), gap_ratio(dense)))
+    assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
+
+
+@pytest.mark.parametrize("M, N", [(6, 10), (10, 10), (15, 10), (60, 60)],
+                         ids=["M<N", "M=N", "M>N", "M=N-60"])
+def test_laguerre_tridiagonal_matches_dense(M, N):
+    # two-sample KS of compare's constant-population draws (Laguerre tridiagonal, through
+    # its worker and evaluator) against dense draws of X^T X, for the top eigenvalue and
+    # the per-replicate comparison functional, at the 0.1% critical value.  The small
+    # sizes are the sharp ones: a chi entry off by one degree of freedom, or paired
+    # with the wrong neighbour, moves the law by O(1/N)
+    reps = 2000
+    state = ek.flow_state(ek.identity_spectrum(M, N), 0.0)
+    t = state.t_alpha[0]
+    window, eta = green.edge_window(N, green.DEFAULT_EPS)
+    u, w = np.polynomial.legendre.leggauss(15)
+    xs, weights = 0.5 * window * u, 0.5 * window * w
+    tri = map_replicates(green._functional_worker,
+                         [(state, xs, weights, eta, 41, r) for r in range(reps)], 1)
+    functional = green._functional_values(state, tri, xs, weights, eta)
+    top = t * np.array([np.linalg.eigvalsh(np.diag(r[:N]) + np.diag(r[N:], 1)
+                                           + np.diag(r[N:], -1))[-1] for r in tri])
+    lam = t * dense_wishart_spectra(M, N, reps, seed=42)
+    z = xs + state.L_plus_t + 1j * eta
+    dense_functional = np.array([(1.0 / (lam - zk)).sum(axis=1).imag for zk in z]).T @ weights
+    stats = [ek.two_sample_ks(top, lam[:, -1]), ek.two_sample_ks(functional, dense_functional)]
     assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
 
 

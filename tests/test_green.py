@@ -3,7 +3,7 @@ import pytest
 
 import edgekit as ek
 from edgekit import green
-from edgekit.ensemble import replicate_rng
+from edgekit.ensemble import laguerre_tridiagonal, replicate_rng
 from edgekit.errors import DomainRejectionError
 from edgekit.green import edge_window_z, roman_green
 
@@ -249,14 +249,16 @@ def test_threads_deterministic(name):
 # Recorded at commit 5e6f55a, before green drew through ensemble's replicate
 # engine; a change to any stream key moves these by O(ci).  The comparison was
 # re-recorded when its null-reference draws moved from (seed + 1, r), the
-# replicate family of the next seed, to their own family (seed, 2^62 + r).
+# replicate family of the next seed, to their own family (seed, 2^62 + r), and
+# again when those null draws (a constant population) moved to the Laguerre
+# tridiagonal model: new draws with the same law.  The Q-tilde mean is unchanged.
 _PINNED_REPORTS = {
     "optical": (0.0029406705525280357, 0.03142326641605511, 0.0022060191427939065),
     "cancellation": (0.010756481004424357, 0.5052076249421039, 0.00839127767137808),
     "decoupling": (0.0001763087801670178, 0.009309952353021985, 0.0004122525692094617),
 }
-_PINNED_COMPARISON = (0.7711594210898148, 0.7063753667267534, 0.06478405436306145,
-                      0.05277502510486765)
+_PINNED_COMPARISON = (0.7711594210898148, 0.7424211815389078, 0.02873823955090704,
+                      0.04695767011096717)
 
 
 def test_stream_layout_pinned():
@@ -298,6 +300,23 @@ def test_compare_seeds_share_no_draw(monkeypatch):
     assert len(keys[9]) == len(keys[10]) == 81  # 2 x 40 draws and the bootstrap
     assert not keys[9] & keys[10]
     assert results[9][1] != results[10][0]  # mean_W at seed 9, mean_Q at seed 10
+
+
+@pytest.mark.parametrize("M, N", [(150, 200), (200, 200), (250, 200)],
+                         ids=["M<N", "M=N", "M>N"])
+def test_tridiagonal_trace_matches_dense_eigenvalues(M, N):
+    # the pivot recurrence against sum_j 1/(lambda_j - z) over a dense eigensolve of the
+    # same tridiagonal matrices (for M < N, N - M of their rows are zero), around the edge
+    d, e = (np.array(part) for part in zip(
+        *[laguerre_tridiagonal(replicate_rng(7, r), M, N) for r in range(4)]))
+    lam = np.array([np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))
+                    for dr, er in zip(d, e)])
+    edge = (1.0 + np.sqrt(M / N)) ** 2
+    for eta, bound in ((1.0, 1e-12), (0.02, 1e-12), (1e-3, 1e-9), (1e-6, 1e-9)):
+        z = edge + np.linspace(-0.1, 0.1, 9) + 1j * eta
+        want = (1.0 / (lam[:, :, None] - z)).sum(axis=1)
+        got = green._tridiagonal_trace(d, e, z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= bound, eta
 
 
 def test_comparison_functional_degenerate():
