@@ -500,8 +500,9 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     A constant population (the null reference always; both halves on identity)
     is drawn as the Laguerre tridiagonal J of Q, 2 min(M, N) - 1 chi-square
     draws per replicate, and Tr (J - z)^{-1} at every quadrature node comes from
-    the pivot recurrence of J - z, for all replicates at once.  Other
-    populations draw X and eigensolve X^* T X.
+    the pivot recurrence of J - z, for all replicates at once, in the calling
+    process.  Other populations draw X and eigensolve X^* T X through
+    `map_replicates`.
     """
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")
@@ -517,11 +518,16 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     xs = 0.5 * (u + 1.0) * (E2 - E1) + E1
     weights = 0.5 * (E2 - E1) * w
     null_state = flow_state(identity_spectrum(spec.M, spec.N), 0.0)
-    jobs = ([(tilde_state, xs, weights, eta, seed, r) for r in range(reps)]
-            + [(null_state, xs, weights, eta, seed, _NULL_STREAM + r) for r in range(reps)])
-    results = map_replicates(_functional_worker, jobs, threads)
-    tilde = _functional_values(tilde_state, results[:reps], xs, weights, eta)
-    null = _functional_values(null_state, results[reps:], xs, weights, eta)
+
+    def half(state, first):
+        jobs = [(state, xs, weights, eta, seed, first + r) for r in range(reps)]
+        # a constant population's replicate is tens of microseconds of chi-square
+        # draws, less than a pool spends forking and pickling it: draw them here
+        results = ([_functional_worker(job) for job in jobs] if _constant(state)
+                   else map_replicates(_functional_worker, jobs, threads))
+        return _functional_values(state, results, xs, weights, eta)
+
+    tilde, null = half(tilde_state, 0), half(null_state, _NULL_STREAM)
     gap = float(tilde.mean() - null.mean())
     ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
     return float(tilde.mean()), float(null.mean()), gap, ci

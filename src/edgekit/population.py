@@ -216,7 +216,10 @@ def write_spectrum(spec: PopulationSpectrum, path) -> None:
 
 def _f_and_deriv(spec: PopulationSpectrum, x: float):
     f = spec.moment(lambda s: (s * x / (1.0 - s * x)) ** 2) - spec.d
-    fp = spec.moment(lambda s: 2.0 * s * s * x / (1.0 - s * x) ** 3)
+    # s * s overflows only for sigma_1 > 1e154, where gamma0^-3 ~ sigma_1^3 overflows
+    # too and scaling_factor rejects the spectrum; an infinite f' only zeroes a step
+    with np.errstate(over="ignore"):
+        fp = spec.moment(lambda s: 2.0 * s * s * x / (1.0 - s * x) ** 3)
     return f, fp
 
 
@@ -276,7 +279,8 @@ def edge_location(spec: PopulationSpectrum, xi_plus: float) -> float:
 def scaling_factor(spec: PopulationSpectrum, xi_plus: float) -> float:
     """Cube-root scaling factor gamma0 normalizing the edge fluctuations."""
     try:
-        cube = spec.moment(lambda s: (s / (1.0 - s * xi_plus)) ** 3) / spec.d + xi_plus ** -3
+        with np.errstate(over="ignore"):  # a non-finite cube is rejected below
+            cube = spec.moment(lambda s: (s / (1.0 - s * xi_plus)) ** 3) / spec.d + xi_plus ** -3
     except OverflowError:
         cube = np.inf
     if not 0.0 < cube < np.inf:

@@ -8,12 +8,15 @@ s -> +inf) yields
 
 q is a separatrix: marching it backwards from Airy data in double precision
 departs near s ~ -8 no matter how the right boundary data are refined.  The
-solver therefore treats it as a boundary-value problem on the whole interval:
-4th-order collocation anchored on the left asymptote
-q(s) = sqrt(-s/2)(1 + 1/(8 s^3) - 73/(128 s^6)) and on Ai at the right end.
+solver therefore treats it as a boundary-value problem on the whole interval
+[s_min - 4, max(s_max, 18)]: the 4th-order Numerov discretization at step
+0.005, anchored on the left asymptote q(s) = sqrt(-s/2)(1 + 1/(8 s^3) -
+73/(128 s^6)) and on Ai's large-x asymptotic series at the right end, solved
+by Newton's method, one tridiagonal sweep per step.  The table path uses numpy
+alone.
 
-The solution is stored at step 0.005; `tw_cdf` and `tw_table` read F1 and F2
-off it through one evaluator, `_tabulate`, at any point of its span.
+The solution is stored on [s_min, s_max]; `tw_cdf` and `tw_table` read F1 and
+F2 off it through one evaluator, `_tabulate`, at any point of that span.
 
 The independent cross-check is the Airy-kernel Fredholm determinant
 F2(s) = det(I - K_Ai) on L^2(s, inf), discretized by Gauss-Legendre Nystrom.
@@ -22,6 +25,7 @@ F2(s) = det(I - K_Ai) on L^2(s, inf), discretized by Gauss-Legendre Nystrom.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,19 +34,21 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainRejectionError
 
-_ASYMPTOTE_PAD = 4.0  # collocation extends this far left of s_min for the asymptotic anchor
-_TAIL_UPPER = 18.0    # Airy tail integrals are truncated here (Ai(18)^2 ~ 1e-45)
+_ASYMPTOTE_PAD = 4.0    # the solve extends this far left of s_min for the asymptotic anchor
+_TAIL_UPPER = 18.0      # and at least this far right (Ai(18)^2 ~ 1e-46), where the tail integrals stop
 _PAINLEVE_STEP = 0.005  # node spacing of the Hastings-McLeod solution
+_NEWTON_TOL = 1e-13     # Newton stops once max |dq| <= _NEWTON_TOL * max q
+_NEWTON_STEPS = 30
 
-# scipy is imported inside the functions that need it, never at module level:
-# the CLI imports this module for every command, and most never touch scipy.
+# scipy is imported only by `airy_kernel_f2`, the independent oracle: the CLI
+# imports this module for every command, and no command needs scipy for a table.
 
 
 @dataclass(frozen=True)
 class PainleveSolution:
-    grid: np.ndarray    # ascending s values
+    grid: np.ndarray    # ascending s values from s_min to s_max, step ~0.005
     q: np.ndarray
-    qprime: np.ndarray
+    tail: np.ndarray    # int_{s_max}^inf of q, x q^2 and q^2, from the solve beyond s_max
 
     def __call__(self, s):
         return np.interp(s, self.grid, self.q)
@@ -79,72 +85,127 @@ def _left_asymptote(s):
     return np.sqrt(-s / 2.0) * (1.0 + 1.0 / (8.0 * s ** 3) - 73.0 / (128.0 * s ** 6))
 
 
-def _collocation_sweep(s_left: float, s_max: float):
-    """4th-order collocation on [s_left, s_max] anchored on the left asymptote
-    and on Ai at s_max, started from sqrt(-s/2) on the left and Ai on the right."""
-    from scipy.integrate import solve_bvp
-    from scipy.special import airy
+def _airy_ai(x: float) -> float:
+    """Ai(x) for x >= 6 from its large-x asymptotic series, summed up to its
+    smallest term: relative error below exp(-2 zeta), zeta = (2/3) x^(3/2)."""
+    zeta = 2.0 / 3.0 * x ** 1.5
+    term = total = 1.0
+    k = 0
+    while True:
+        k += 1
+        nxt = -term * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1) * zeta)
+        if abs(nxt) >= abs(term) or abs(nxt) <= 1e-17 * abs(total):
+            break
+        term = nxt
+        total += term
+    return math.exp(-zeta) / (2.0 * math.sqrt(math.pi) * x ** 0.25) * total
 
-    q_left, q_right = _left_asymptote(s_left), airy(s_max)[0]
 
-    def rhs(s, y):
-        return np.vstack([y[1], s * y[0] + 2.0 * y[0] ** 3])
+def _thomas(lower: list, diag: list, upper: list, rhs: list) -> list:
+    """Solve the tridiagonal system with sub-diagonal lower, diagonal diag and
+    super-diagonal upper (lower[i] sits in row i + 1, upper[i] in row i) without
+    pivoting; numpy has no banded solver, and a plain loop over floats is cheaper
+    than importing one."""
+    n = len(diag)
+    c, d = [0.0] * n, [0.0] * n
+    c[0], d[0] = upper[0] / diag[0], rhs[0] / diag[0]
+    for i in range(1, n):
+        a = lower[i - 1]
+        pivot = diag[i] - a * c[i - 1]
+        if i < n - 1:
+            c[i] = upper[i] / pivot
+        d[i] = (rhs[i] - a * d[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return d
 
-    def bc(ya, yb):
-        return np.array([ya[0] - q_left, yb[0] - q_right])
 
-    mesh = np.linspace(s_left, s_max, 1600)
-    guess = np.zeros((2, mesh.size))
-    guess[0] = np.where(mesh < -0.5, np.sqrt(np.maximum(-mesh, 1.0) / 2.0), airy(np.maximum(mesh, 0.0))[0])
-    result = solve_bvp(rhs, bc, mesh, guess, tol=1e-11, max_nodes=400_000)
-    if result.status != 0:
-        raise ConvergenceError(f"collocation sweep failed ({result.message})")
-    return result.sol
+def _numerov_newton(s: np.ndarray, q_left: float, q_right: float) -> np.ndarray:
+    """q'' = s q + 2 q^3 on the uniform grid s with q fixed at both ends, by
+    Newton's method on the Numerov equations
+
+        q[i-1] - 2 q[i] + q[i+1] = h^2/12 (f[i-1] + 10 f[i] + f[i+1]),  f = s q + 2 q^3.
+
+    Their Jacobian is tridiagonal and, where s + 6 q^2 > 0 (everywhere along
+    the Hastings-McLeod solution and the start below), diagonally dominant.
+    """
+    c = (s[1] - s[0]) ** 2 / 12.0
+    q = np.sqrt(np.maximum(-s, 1.0) / 2.0) * np.exp(-2.0 / 3.0 * np.maximum(s, 0.0) ** 1.5)
+    q[0], q[-1] = q_left, q_right
+    for _ in range(_NEWTON_STEPS):
+        f, fq = s * q + 2.0 * q ** 3, s + 6.0 * q * q
+        residual = q[:-2] - 2.0 * q[1:-1] + q[2:] - c * (f[:-2] + 10.0 * f[1:-1] + f[2:])
+        off = 1.0 - c * fq  # d residual[i] / d q[i +- 1]
+        dq = np.array(_thomas(off[1:-2].tolist(), (-2.0 - 10.0 * c * fq[1:-1]).tolist(),
+                              off[2:-1].tolist(), (-residual).tolist()))
+        q[1:-1] += dq
+        change = float(np.max(np.abs(dq)))
+        if change <= _NEWTON_TOL * float(np.max(q)):
+            return q
+    raise ConvergenceError(f"Hastings-McLeod Newton iteration did not converge in {_NEWTON_STEPS} "
+                           f"steps (last max |dq| = {change:.3e})")
 
 
 def hastings_mcleod(s_min: float = -10.0, s_max: float = 6.0) -> PainleveSolution:
-    """Hastings-McLeod solution on [s_min, s_max] sampled with step 0.005."""
+    """Hastings-McLeod solution on [s_min, s_max], sampled at the step nearest
+    0.005 that divides s_max - s_min."""
     if s_max < 6.0:
         raise DomainRejectionError("s_max must be >= 6 so the Airy boundary data are in the decaying regime")
     if s_min > -10.0:
         raise DomainRejectionError("s_min must be <= -10 so both tails are resolved")
-    from scipy.special import airy
-
-    grid = np.arange(0, int(round((s_max - s_min) / _PAINLEVE_STEP)) + 1) * _PAINLEVE_STEP + s_min
+    n = int(round((s_max - s_min) / _PAINLEVE_STEP))
+    h = (s_max - s_min) / n
+    pad = math.ceil(_ASYMPTOTE_PAD / h - 1e-9)
+    # at least the four nodes from s_max on that the tail quadrature needs
+    right = max(n + 3, math.ceil((_TAIL_UPPER - s_min) / h - 1e-9))
+    s = np.arange(-pad, right + 1) * h + s_min
+    q = _numerov_newton(s, float(_left_asymptote(s[0])), _airy_ai(float(s[-1])))
+    grid, qs = s[pad:pad + n + 1].copy(), q[pad:pad + n + 1]
     grid[-1] = s_max
-    q, qp = _collocation_sweep(s_min - _ASYMPTOTE_PAD, s_max)(grid)
-    if np.any(q <= 0.0):
+    if np.any(qs <= 0.0):
         raise ConvergenceError("Hastings-McLeod solve produced non-positive values")
-    ratio = q[-1] / airy(s_max)[0]
+    ratio = qs[-1] / _airy_ai(s_max)
     if abs(ratio - 1.0) > 1e-4:
         raise ConvergenceError(f"right boundary mismatch: q/Ai = {ratio:.8f} at s = {s_max}")
-    return PainleveSolution(grid=grid, q=q, qprime=qp)
+    tail = _suffix_integrals(s[pad + n:], q[pad + n:])[1][:, 0]
+    return PainleveSolution(grid=grid, q=qs, tail=tail)
+
+
+def _suffix_integrals(x: np.ndarray, q: np.ndarray):
+    """f = (q, x q^2, q^2) at the uniform nodes x and J, their integrals from
+    each node to the last: each interval's integral is that of the cubic through
+    the four nearest nodes (4th order), summed from the right."""
+    f = np.stack([q, x * q ** 2, q ** 2])
+    w = np.empty((3, x.size - 1))
+    w[:, 1:-1] = 13.0 * (f[:, 1:-2] + f[:, 2:-1]) - f[:, :-3] - f[:, 3:]
+    w[:, 0] = 9.0 * f[:, 0] + 19.0 * f[:, 1] - 5.0 * f[:, 2] + f[:, 3]
+    w[:, -1] = f[:, -4] - 5.0 * f[:, -3] + 19.0 * f[:, -2] + 9.0 * f[:, -1]
+    w *= (x[-1] - x[0]) / (x.size - 1) / 24.0
+    J = np.zeros_like(f)
+    J[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    return f, J
 
 
 def _tabulate(s: np.ndarray, sol: PainleveSolution) -> TWTable:
     """F1 and F2 at the ascending points s, which must lie on the solution's grid span.
 
     The suffix integrals J0 = int_s^inf q, J1 = int_s^inf x q^2 and
-    J2 = int_s^inf q^2 are cumulative Simpson sums on the Painleve grid, plus
-    the same integrals of Ai beyond the grid's right end (they agree there to
-    ~1e-9 by the boundary condition).  Between nodes they are cubic Hermite
+    J2 = int_s^inf q^2 are `_suffix_integrals` on the Painleve grid plus the
+    solution's tail beyond it.  Between nodes they are cubic Hermite
     interpolants with the known slopes -q, -x q^2 and -q^2.  Then
     int_s^inf (x - s) q^2 = J1(s) - s J2(s).
     """
-    from scipy.integrate import cumulative_simpson, simpson
-    from scipy.interpolate import CubicHermiteSpline
-    from scipy.special import airy
-
-    g, q = sol.grid, sol.q
+    g = sol.grid
     if s[0] < g[0] - 1e-12 or s[-1] > g[-1] + 1e-12:
         raise DomainRejectionError(f"s in [{s[0]}, {s[-1]}] outside the stored grid [{g[0]}, {g[-1]}]; "
                                    "extrapolation refused")
-    xt = np.linspace(g[-1], _TAIL_UPPER, 600)
-    ai = airy(xt)[0]
-    f, tail = np.stack([q, g * q ** 2, q ** 2]), np.stack([ai, xt * ai ** 2, ai ** 2])
-    J = (simpson(f, x=g)[:, None] - cumulative_simpson(f, x=g, initial=0.0)
-         + simpson(tail, x=xt)[:, None])
-    J0, J1, J2 = CubicHermiteSpline(g, J, -f, axis=1)(s)
+    f, J = _suffix_integrals(g, sol.q)
+    J += sol.tail[:, None]
+    k = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
+    dx = g[k + 1] - g[k]
+    t = (s - g[k]) / dx
+    J0, J1, J2 = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * J[:, k] + t * t * (3.0 - 2.0 * t) * J[:, k + 1]
+                  - dx * t * (1.0 - t) * ((1.0 - t) * f[:, k] - t * f[:, k + 1]))
     F2 = np.exp(-(J1 - s * J2))
     F1 = np.exp(-0.5 * J0) * np.sqrt(F2)
     return TWTable(grid=s, F1=np.clip(F1, 0.0, 1.0), F2=np.clip(F2, 0.0, 1.0))

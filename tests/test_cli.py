@@ -68,7 +68,7 @@ def test_usage_error_exit_code(workspace):
 
 
 def test_cli_import_does_not_load_scipy(workspace):
-    # every command pays for the CLI's imports; only the Tracy-Widom ones need scipy
+    # every command pays for the CLI's imports; scipy loads only where a command uses it
     cwd, cache = workspace
     code = "import sys, edgekit.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -97,6 +97,34 @@ def test_green_commands_do_not_load_scipy(workspace):
                           cwd=cwd, env=_child_env(cache, cwd))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] False", proc.stdout
+
+
+def test_tracy_widom_tables_do_not_load_scipy(workspace):
+    # the Hastings-McLeod solve and the F1/F2 tabulation run on numpy alone
+    cwd, cache = workspace
+    code = ("import sys, edgekit as ek; from edgekit import cli; "
+            "code = cli.main(['tw-table', '--step', '0.05', '--out', 'tw']); "
+            "table = ek.tw_table(); f1 = ek.tw_cdf(1, -1.0, ek.hastings_mcleod()); "
+            "print(code, table.grid.size, 0.0 < f1 < 1.0, 'scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=_child_env(cache, cwd))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 1601 True False", proc.stdout
+
+
+def test_simulate_ks_loads_no_scipy_solvers(workspace):
+    # the replicates need scipy.linalg; the Tracy-Widom reference needs none of
+    # the solver packages that scipy.integrate would pull in
+    cwd, cache = workspace
+    code = ("import sys; from edgekit import cli; "
+            "code = cli.main(['simulate', '--spectrum', 'identity:M=40,N=40', '--reps', '20', "
+            "'--threads', '1', '--ks', '--out', 'out']); "
+            "print(code, sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
+            "'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=cwd, env=_child_env(cache, cwd))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []", proc.stdout
 
 
 def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
@@ -425,3 +453,37 @@ def test_edge_overflow_is_domain_rejection(tmp_path, capsys, command, scale):
     assert code == cli.EXIT_DOMAIN, err
     assert err.startswith("domain rejection: " + _SCALE_REJECTION[scale]), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", list(_SCALE_REJECTION))
+def test_edge_rejection_is_first_on_stderr(workspace, scale):
+    # no numpy overflow warning precedes the rejection (pytest captures warnings
+    # apart from stderr, so only a child process shows them)
+    cwd, cache = workspace
+    proc = run_cli(["edge", "--spectrum", f"twopoint:a={scale},b={scale},w=0.5,M=10,N=10",
+                    "--out", "out"], cache, cwd)
+    assert proc.returncode == cli.EXIT_DOMAIN, proc.stderr
+    assert proc.stderr.startswith("domain rejection: " + _SCALE_REJECTION[scale]), proc.stderr
+
+
+def test_constant_compare_starts_no_pool(tmp_path, monkeypatch):
+    # a constant population's replicates are drawn in the calling process at any
+    # thread count, with the same bytes; a dense half still goes through the pool
+    from edgekit import ensemble
+    pools = []
+
+    class CountingPool(ensemble.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+    outputs = {}
+    for spectrum in ("identity:M=60,N=50", "twopoint:a=1,b=2,w=0.5,M=40,N=40"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{spectrum[:8]}{threads}"
+            assert cli.main(["compare", "--spectrum", spectrum, "--reps", "30", "--seed", "4",
+                             "--threads", threads, "--out", str(out)]) == cli.EXIT_OK
+            outputs[spectrum, threads] = (out / "compare.json").read_bytes()
+        assert outputs[spectrum, "1"] == outputs[spectrum, "2"]
+        assert pools == ([] if spectrum.startswith("identity") else [2])

@@ -288,7 +288,7 @@ def _functions_containing(token: str) -> set:
 
 
 @pytest.mark.parametrize("token, owners", [
-    ("cumulative_simpson(", {"tracy_widom._tabulate"}),                  # F1 and F2
+    ("J1 - s * J2", {"tracy_widom._tabulate"}),                          # F1 and F2
     ("N ** (-2.0 / 3.0", {"green.edge_window"}),                         # the edge window
     ("sqrt(max(", {"green._psi"}),                                       # the control parameter
     ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit.errors import DomainRejectionError
+from edgekit import tracy_widom
+from edgekit.errors import ConvergenceError, DomainRejectionError
 
 from oracles import f1_gap_determinant, painleve_ivp
 
@@ -26,6 +27,27 @@ def test_q_matches_marching_oracle_near_field(hm_solution):
     s = hm_solution.grid[(hm_solution.grid >= -4.0) & (hm_solution.grid <= 5.0)][::20]
     oracle = painleve_ivp(s)
     assert np.max(np.abs(hm_solution(s) - oracle)) < 1e-7
+
+
+def test_solution_independent_of_span(hm_solution):
+    # a wider span moves the left anchor to -16 and the Airy end stays at 18:
+    # neither may move the solution on the nodes both spans share
+    wide = ek.hastings_mcleod(-12.0, 8.0)
+    shared = wide.grid[400:400 + hm_solution.grid.size]
+    assert np.max(np.abs(shared - hm_solution.grid)) < 1e-12
+    assert np.max(np.abs(wide.q[400:400 + hm_solution.grid.size] - hm_solution.q)) < 1e-12
+
+
+def test_airy_asymptotic_series():
+    from scipy.special import airy
+    for x in (6.0, 7.5, 10.0, 18.0, 25.0):
+        assert tracy_widom._airy_ai(x) == pytest.approx(airy(x)[0], rel=1e-9)
+
+
+def test_newton_failure_names_its_steps(monkeypatch):
+    monkeypatch.setattr(tracy_widom, "_NEWTON_STEPS", 2)
+    with pytest.raises(ConvergenceError, match=r"did not converge in 2 steps \(last max \|dq\| = "):
+        ek.hastings_mcleod()
 
 
 def test_left_asymptote(hm_solution):
