@@ -4,8 +4,8 @@ R is invariant under affine rescaling of the eigenvalues, so the unknown edge
 location and scaling factor drop out under the null hypothesis; its null law
 is approximated by GOE top-3 simulation at the requested N.  Pivotality is
 only asymptotic, so a table belongs to one N.  Tables are rebuilt on every
-call, never read from disk: a few thousand tridiagonal GOE draws take seconds,
-and the output then depends only on the flags.
+call, never read from disk, so the output depends only on the flags: a few
+thousand tridiagonal GOE draws go through one vectorized Sturm bisection.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import sample_goe_top
+from .ensemble import (EnsembleConfig, constant_population, covariance_replicate,
+                       laguerre_tridiagonal, map_replicates, replicate_rng, sample_goe_top,
+                       tridiagonal_top)
+from .population import PopulationSpectrum
 
 _GAP_EPS = 1e-14
 
@@ -41,12 +44,30 @@ def r_statistic(mu1: float, mu2: float, mu3: float) -> float:
     return (mu1 - mu2) / gap
 
 
-def calibrate_null(N: int, replicates: int, seed: int, threads: int = 1) -> np.ndarray:
+def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
     """Sorted null table of R from GOE top-3 simulation."""
     if replicates < 1000:
         raise DomainRejectionError("need >= 1000 replicates for 1e-3 p-value resolution")
-    tops = sample_goe_top(N, 3, replicates, seed, threads=threads).raw
+    tops = sample_goe_top(N, 3, replicates, seed).raw
     return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
+
+
+def observed_top3(spec: PopulationSpectrum, seed: int, threads: int = 1) -> np.ndarray:
+    """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream (seed, 0).
+
+    A constant population c I draws c times the Laguerre tridiagonal of X^* X and
+    solves it by `tridiagonal_top`, with no dense matrix and no scipy; any other
+    population draws X and eigensolves densely through `map_replicates`.
+    """
+    config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
+    if constant_population(spec.eigenvalues):
+        d, e = laguerre_tridiagonal(replicate_rng(seed, 0), spec.M, spec.N)
+        c = spec.eigenvalues[0]
+        return tridiagonal_top(c * d[:, None], c * e[:, None], 3)[0]
+    # imported before map_replicates, whose BLAS pin then finds scipy's OpenBLAS loaded
+    import scipy.linalg  # noqa: F401
+
+    return map_replicates(covariance_replicate, [(config, 0)], threads)[0]
 
 
 def p_value(R: float, table: np.ndarray) -> float:

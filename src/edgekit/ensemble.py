@@ -19,7 +19,9 @@ matrix, its weighted copy, the Gram) from one replicate to the next, through
 `workspace`, and releases them when the call returns; every in-place step
 computes what its out-of-place form did, so outputs do not change.
 A constant population needs no data matrix at all: `laguerre_tridiagonal`
-draws the spectrum of X^* X in tridiagonal form (`compare` uses it).
+draws the spectrum of X^* X in tridiagonal form (`compare` and `detect` use
+it), and `tridiagonal_top` takes the top k of many tridiagonals at once by
+vectorized Sturm bisection (the GOE null table and `detect`'s draw).
 `detect`'s one draw and replicate 0 of its null table share the stream
 (seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
@@ -344,28 +346,11 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 
-def _goe_worker(args):
-    """Top k of one GOE draw, from its Dumitriu-Edelman (2002) tridiagonal form.
-
-    Householder tridiagonalization of (B + B^T)/sqrt(2N) leaves a matrix with
-    the same eigenvalues, N(0, 2/N) on the diagonal and chi_{N-j}/sqrt(N) at
-    off-diagonal position j = 1..N-1, all independent.
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    N, k, seed, rep = args
-    rng = replicate_rng(seed, rep)
-    diag = rng.standard_normal(N) * np.sqrt(2.0 / N)
-    off = np.sqrt(rng.chisquare(np.arange(N - 1, 0, -1)) / N)
-    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(N - k, N - 1))
-    return vals[::-1]
-
-
 def laguerre_tridiagonal(rng: np.random.Generator, M: int, N: int):
     """(d, e), the diagonal and off-diagonal of an N x N symmetric tridiagonal matrix
     with the spectrum of X^* X, for X an M x N matrix of independent N(0, 1/N) entries.
 
-    The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `_goe_worker`'s
+    The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `sample_goe_top`'s
     twin: Golub-Kahan bidiagonalization of the wide one of sqrt(N) X and its
     transpose, n = min(M, N) rows by m = max(M, N), leaves a lower bidiagonal B
     with independent entries, chi_{m-j+1} on the diagonal and chi_{n-j} below
@@ -383,12 +368,96 @@ def laguerre_tridiagonal(rng: np.random.Generator, M: int, N: int):
     return d / N, e / N
 
 
-def sample_goe_top(N: int, k: int, replicates: int, seed: int, threads: int = 1) -> EdgeSamples:
-    """GOE top-k rescaled by N^{2/3} (mu - 2); off-diagonal variance 1/N, diagonal 2/N."""
-    import scipy.linalg  # noqa: F401  (imported once here; forked workers inherit it)
+def constant_population(weights: np.ndarray) -> bool:
+    """All weights equal: X^* diag(w) X is w[0] X^* X, whose law `laguerre_tridiagonal` draws."""
+    return bool(np.all(weights == weights[0]))
 
-    jobs = [(N, k, seed, r) for r in range(replicates)]
-    raw = np.array(map_replicates(_goe_worker, jobs, threads))
+
+_BISECTIONS = 64  # halvings to converge from the widened Gershgorin interval: at most ~56
+
+
+def tridiagonal_top(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Top k eigenvalues, descending, of R symmetric tridiagonal matrices: row r of
+    the (R, k) result belongs to the matrix in column r of d (N x R, its diagonal)
+    and of e ((N - 1) x R, its off-diagonal).
+
+    Sturm bisection (Kahan 1966): the number of eigenvalues below x is the number
+    of negative LDL^T pivots of T - x,
+
+        q_1 = d_1 - x,    q_i = d_i - x - e_{i-1}^2 / q_{i-1},
+
+    with a zero pivot replaced by -pivmin, as LAPACK's dlaneg does, so the count
+    stays monotone in x (Demmel, Dhillon & Ren 1995).  Each of the k targets of
+    each row starts from its Gershgorin interval, widened as in dstebz, and is
+    halved until b - a <= 2 eps max(|a|, |b|), or eps ||T|| where the eigenvalue
+    is near 0; it is then the midpoint.  Every step of the recurrence is a few
+    ufunc calls on all k x R lanes, and no float array of the size of d is made.
+    A row that does not settle in _BISECTIONS halvings (a NaN entry) raises
+    ConvergenceError naming the row.
+    """
+    N, R = d.shape
+    if e.shape != (N - 1, R):
+        raise DomainRejectionError(f"off-diagonal shape {e.shape}, expected {(N - 1, R)}")
+    if not 1 <= k <= N:
+        raise DomainRejectionError(f"k={k} must lie in [1, {N}]")
+    eps = np.finfo(float).eps
+    zero = np.zeros(R)
+    lo, hi, e2max = d[0].copy(), d[0].copy(), zero.copy()
+    for d_i, e_left, e_right in zip(d, [zero, *e], [*e, zero]):
+        radius = np.abs(e_left) + np.abs(e_right)
+        np.minimum(lo, d_i - radius, out=lo)
+        np.maximum(hi, d_i + radius, out=hi)
+        np.maximum(e2max, e_right * e_right, out=e2max)
+    norm = np.maximum(np.abs(lo), np.abs(hi))
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2max)
+    floor = np.maximum(eps * norm, pivmin)
+    slack = 2.0 * eps * N * norm + 2.0 * pivmin
+    a = np.repeat((lo - slack)[None], k, axis=0)
+    b = np.repeat((hi + slack)[None], k, axis=0)
+    target = np.arange(N - 1, N - 1 - k, -1)[:, None]  # the j-th largest has N - 1 - j below it
+    x, q, ratio = np.empty((k, R)), np.empty((k, R)), np.empty((k, R))
+    negative, count = np.empty((k, R), dtype=bool), np.empty((k, R), dtype=np.int32)
+    zero_pivot = np.broadcast_to(-pivmin, (k, R))
+    for _ in range(_BISECTIONS + 1):
+        unsettled = ~(b - a <= np.maximum(2.0 * eps * np.maximum(np.abs(a), np.abs(b)), floor))
+        if not unsettled.any():
+            return -np.sort(-0.5 * (a + b).T, axis=1)
+        np.add(a, b, out=x)
+        x *= 0.5
+        q.fill(np.inf)  # with e_0 = 0, the first step gives q_1 = d_1 - x
+        count.fill(0)
+        for d_i, e_prev in zip(d, [zero, *e]):
+            np.divide(e_prev * e_prev, q, out=ratio)
+            np.subtract(d_i, x, out=q)
+            q -= ratio
+            if not q.all():
+                np.copyto(q, zero_pivot, where=q == 0.0)
+            count += np.less(q, 0.0, out=negative)
+        lower = count <= target  # the target lies at or above x
+        np.copyto(a, x, where=lower & unsettled)
+        np.copyto(b, x, where=~lower & unsettled)
+    row = int(np.flatnonzero(unsettled.any(axis=0))[0])
+    raise ConvergenceError(f"row {row}: Sturm bisection unsettled after {_BISECTIONS} halvings, "
+                           f"bracket [{a[:, row].min():.3e}, {b[:, row].max():.3e}]")
+
+
+def sample_goe_top(N: int, k: int, replicates: int, seed: int) -> EdgeSamples:
+    """GOE top-k rescaled by N^{2/3} (mu - 2); off-diagonal variance 1/N, diagonal 2/N.
+
+    Replicate r is one GOE draw in the tridiagonal form of Dumitriu & Edelman
+    (2002), drawn from stream (seed, r): Householder tridiagonalization of
+    (B + B^T)/sqrt(2N) leaves a matrix with the same eigenvalues, N(0, 2/N) on
+    the diagonal and chi_{N-j}/sqrt(N) at off-diagonal position j = 1..N-1, all
+    independent (the normals are drawn first).  Every replicate's top k then
+    come from one `tridiagonal_top` call in the calling process.
+    """
+    d, e = np.empty((N, replicates)), np.empty((N - 1, replicates))
+    dof = np.arange(N - 1, 0, -1)
+    for r in range(replicates):
+        rng = replicate_rng(seed, r)
+        d[:, r] = rng.standard_normal(N) * np.sqrt(2.0 / N)
+        e[:, r] = np.sqrt(rng.chisquare(dof) / N)
+    raw = tridiagonal_top(d, e, k)
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - 2.0), raw=raw)
 
 

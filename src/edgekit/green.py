@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GAUSSIAN, laguerre_tridiagonal, map_replicates, replicate_rng, workspace
+from .ensemble import (GAUSSIAN, constant_population, laguerre_tridiagonal, map_replicates,
+                       replicate_rng, workspace)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -439,11 +440,6 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
                        _status(resid, ci, leading * slack))
 
 
-def _constant(state: FlowState) -> bool:
-    """t_alpha all equal: X^* T X is t X^* X, whose law the Laguerre tridiagonal model draws."""
-    return bool(np.all(state.t_alpha == state.t_alpha[0]))
-
-
 def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Tr (J - z)^{-1} for the symmetric tridiagonal J = (d[r], e[r]) of each row r and
     each z with Im z > 0, shape (rows, len(z)).
@@ -471,7 +467,7 @@ def _functional_worker(args):
     the Laguerre tridiagonal of X^* X as one array (d, e), which `_functional_values`
     evaluates."""
     state, xs, weights, eta, seed, rep = args
-    if _constant(state):
+    if constant_population(state.t_alpha):
         return np.concatenate(laguerre_tridiagonal(replicate_rng(seed, rep), state.M, state.N))
     X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
                         out=workspace("X", (state.M, state.N)))
@@ -483,7 +479,7 @@ def _functional_worker(args):
 def _functional_values(state: FlowState, results: list, xs, weights, eta: float) -> np.ndarray:
     """The per-replicate functional from `_functional_worker`'s results for state: a
     constant population's tridiagonals go through `_tridiagonal_trace` all at once."""
-    if not _constant(state):
+    if not constant_population(state.t_alpha):
         return np.array(results)
     tri = state.t_alpha[0] * np.array(results)
     trace = _tridiagonal_trace(tri[:, :state.N], tri[:, state.N:], xs + state.L_plus_t + 1j * eta)
@@ -523,7 +519,7 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
         jobs = [(state, xs, weights, eta, seed, first + r) for r in range(reps)]
         # a constant population's replicate is tens of microseconds of chi-square
         # draws, less than a pool spends forking and pickling it: draw them here
-        results = ([_functional_worker(job) for job in jobs] if _constant(state)
+        results = ([_functional_worker(job) for job in jobs] if constant_population(state.t_alpha)
                    else map_replicates(_functional_worker, jobs, threads))
         return _functional_values(state, results, xs, weights, eta)
 

@@ -311,6 +311,60 @@ def test_detect_output_independent_of_cache(tmp_path):
         assert (tmp_path / "a" / "out" / name).read_bytes() == (tmp_path / "b" / "out" / name).read_bytes()
 
 
+def _run_python(lines, cwd, cache):
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                          text=True, cwd=cwd, env=_child_env(cache, cwd))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(workspace):
+    # the null table and a constant population's draw are tridiagonal bisections in
+    # this process; a two-point population still draws X and eigensolves with scipy
+    cwd, cache = workspace
+    last = _run_python([
+        "import sys; from edgekit import cli, ensemble",
+        "pools = []",
+        "class Recording(ensemble.ProcessPoolExecutor):",
+        "    def __init__(self, max_workers):",
+        "        pools.append(max_workers)",
+        "        super().__init__(max_workers=max_workers)",
+        "ensemble.ProcessPoolExecutor = Recording",
+        "args = ['detect', '--spectrum', 'identity:M=100,N=100', '--null-reps', '1000', '--seed', '4']",
+        "codes = [cli.main(args + ['--threads', t, '--out', 'out' + t]) for t in ('2', '1')]",
+        "identity = 'scipy' in sys.modules",
+        "codes.append(cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
+        "                       '--null-reps', '1000', '--threads', '2', '--out', 'dense']))",
+        "print(codes, pools, identity, 'scipy' in sys.modules)"], cwd, cache)
+    assert last == "[0, 0, 0] [] False True", last
+    assert (cwd / "out2" / "detect.json").read_bytes() == (cwd / "out1" / "detect.json").read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
+def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
+    # with the BLAS variables unset, scipy's OpenBLAS is loaded before the replicate
+    # engine pins the loaded libraries, so the draw's eigensolve runs on one thread
+    cwd, cache = workspace
+    last = _run_python([
+        "import ctypes; from edgekit import cli, ensemble",
+        "seen, real = [], ensemble.top_eigenvalues",
+        "def reading(*args, **kwargs):",
+        "    vals = real(*args, **kwargs)",
+        "    with open('/proc/self/maps') as maps:",
+        "        paths = {line.split()[-1] for line in maps",
+        "                 if 'openblas' in line and '.so' in line and 'openblas64' not in line}",
+        "    getters = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads', None) for p in paths]",
+        "    seen.extend(get() for get in getters if get is not None)",
+        "    return vals",
+        "ensemble.top_eigenvalues = reading",
+        "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
+        "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
+        "print(code, seen)"], cwd, cache)
+    if last == "0 []":
+        pytest.skip("scipy's OpenBLAS is not found in /proc/self/maps")
+    assert last == "0 [1]", last
+
+
 def test_compare_command(workspace):
     cwd, cache = workspace
     proc = run_cli(["compare", "--spectrum", "identity:M=100,N=100", "--reps", "60",

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import edgekit as ek
+from edgekit import detect as detect_mod
 from edgekit.detect import detect
+from edgekit.ensemble import laguerre_tridiagonal, replicate_rng
 from edgekit.errors import DomainRejectionError
 
 # median of the N=400 GOE gap-ratio table at 5000 replicates, seed 0, from the
@@ -53,6 +55,27 @@ def test_calibrate_null_requires_resolution():
 def test_table_median_regression():
     table = ek.calibrate_null(400, 5000, seed=0)
     assert np.median(table) == pytest.approx(R_TABLE_MEDIAN_N400, abs=1e-9)
+
+
+@pytest.mark.parametrize("M, N", [(20, 30), (30, 30), (40, 30)], ids=["M<N", "M=N", "M>N"])
+def test_observed_top3_constant_population_wiring(M, N):
+    # c I is drawn as c times the Laguerre tridiagonal of stream (seed, 0): no data
+    # matrix; the law of that draw is checked in test_laguerre_top3_matches_dense
+    spec = ek.load_spectrum(f"twopoint:a=2.5,b=2.5,w=0.5,M={M},N={N}")
+    d, e = laguerre_tridiagonal(replicate_rng(7, 0), M, N)
+    exact = np.linalg.eigvalsh(2.5 * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))[::-1][:3]
+    mus = detect_mod.observed_top3(spec, 7, threads=2)
+    assert np.max(np.abs(mus - exact)) <= 1e-13 * exact[0]
+
+
+def test_observed_top3_dense_population_unchanged():
+    # any other population draws X from stream (seed, 0) and eigensolves densely
+    spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 40, 30)
+    config = ek.EnsembleConfig(spec, replicates=1, k=3, seed=7)
+    dense = ek.top_eigenvalues(ek.sample_data_matrix(config, 0), spec, 3)
+    assert np.array_equal(detect_mod.observed_top3(spec, 7), dense)
+    with pytest.raises(DomainRejectionError):
+        detect_mod.observed_top3(ek.identity_spectrum(2, 30), 7)
 
 
 def test_p_value_tails_and_median():

@@ -293,7 +293,8 @@ def _functions_containing(token: str) -> set:
     ("sqrt(max(", {"green._psi"}),                                       # the control parameter
     ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents
                         "green.verify_schur"}),
-    ("chisquare(", {"ensemble._goe_worker", "ensemble.laguerre_tridiagonal"}),  # beta = 1 models
+    ("chisquare(", {"ensemble.sample_goe_top", "ensemble.laguerre_tridiagonal"}),  # beta = 1 models
+    ("np.less(q, 0.0", {"ensemble.tridiagonal_top"}),                    # Sturm counts
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -416,6 +417,83 @@ def test_tridiagonal_goe_matches_dense():
     gap_ratio = lambda t: (t[:, 0] - t[:, 1]) / (t[:, 1] - t[:, 2])
     stats = [ek.two_sample_ks(tri[:, i], dense[:, i]) for i in range(3)]
     stats.append(ek.two_sample_ks(gap_ratio(tri), gap_ratio(dense)))
+    assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
+
+
+def _laguerre_rows(M, N, reps, seed):
+    """(d, e) of reps Laguerre tridiagonals from streams (seed, r), laid out (N, reps)."""
+    rows = [ensemble.laguerre_tridiagonal(replicate_rng(seed, r), M, N) for r in range(reps)]
+    return np.array([d for d, _ in rows]).T, np.array([e for _, e in rows]).T
+
+
+def _goe_rows(N, reps, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((N, reps)) * np.sqrt(2.0 / N),
+            np.sqrt(rng.chisquare(np.arange(N - 1, 0, -1)[:, None], size=(N - 1, reps)) / N))
+
+
+def _split_row():
+    # e_3 = 0 splits the matrix into a 3 x 3 and a 4 x 4 block, with an eigenvalue shared
+    d = np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 0.5])[:, None]
+    e = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])[:, None]
+    return d, e
+
+
+_TRIDIAGONAL_CASES = {
+    "goe": lambda: _goe_rows(60, 8, 1),
+    "laguerre-M<N": lambda: _laguerre_rows(12, 20, 6, 2),  # 8 eigenvalues exactly 0
+    "laguerre-M=N": lambda: _laguerre_rows(20, 20, 6, 3),
+    "laguerre-M>N": lambda: _laguerre_rows(30, 20, 6, 4),
+    "split": _split_row,
+    "all-equal": lambda: (np.full((9, 2), 1.5), np.zeros((8, 2))),
+    "N=1": lambda: (np.array([[0.5, -2.0, 0.0]]), np.zeros((0, 3))),
+    "N=2": lambda: (np.array([[1.0, 0.0, 3.0], [2.0, 0.0, -1.0]]), np.array([[0.5, 1.0, 0.0]])),
+    # d = 0 and e = 1: the Gershgorin interval is symmetric, so the first bisection
+    # point is x = 0 exactly and the first pivot d_1 - x is an exact zero
+    "zero-pivot": lambda: (np.zeros((7, 2)), np.ones((6, 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRIDIAGONAL_CASES))
+def test_tridiagonal_top_matches_eigvalsh(case):
+    d, e = _TRIDIAGONAL_CASES[case]()
+    N, R = d.shape
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        top = ensemble.tridiagonal_top(d, e, N)
+    for r in range(R):
+        dense = np.diag(d[:, r]) + np.diag(e[:, r], 1) + np.diag(e[:, r], -1)
+        exact = np.linalg.eigvalsh(dense)[::-1]
+        assert np.all(np.abs(top[r] - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact))), r
+        for k in (1, min(3, N)):  # the top k alone are the first k of the full solve
+            assert np.array_equal(ensemble.tridiagonal_top(d[:, r:r + 1], e[:, r:r + 1], k)[0],
+                                  top[r, :k])
+
+
+def test_tridiagonal_top_rejects_and_names_the_row():
+    d, e = _goe_rows(10, 3, 5)
+    with pytest.raises(DomainRejectionError):
+        ensemble.tridiagonal_top(d, e, 11)
+    with pytest.raises(DomainRejectionError):
+        ensemble.tridiagonal_top(d, e[:, :2], 1)
+    d[4, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="row 1:"):
+        ensemble.tridiagonal_top(d, e, 2)
+
+
+def _gap_ratio(tops):
+    return (tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2])
+
+
+@pytest.mark.parametrize("M, N", [(6, 10), (10, 10), (15, 10)], ids=["M<N", "M=N", "M>N"])
+def test_laguerre_top3_matches_dense(M, N):
+    # two-sample KS of detect's constant-population draw (Laguerre tridiagonal, top 3
+    # by tridiagonal_top) against dense draws of X^T X, for each of the top three
+    # eigenvalues and for the gap ratio R, at the 0.1% critical value
+    reps = 2000
+    tri = ensemble.tridiagonal_top(*_laguerre_rows(M, N, reps, 43), 3)
+    dense = dense_wishart_spectra(M, N, reps, seed=44)[:, ::-1][:, :3]
+    stats = [ek.two_sample_ks(tri[:, i], dense[:, i]) for i in range(3)]
+    stats.append(ek.two_sample_ks(_gap_ratio(tri), _gap_ratio(dense)))
     assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
 
 

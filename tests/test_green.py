@@ -236,7 +236,6 @@ _THREAD_CASES = {
         ek.flow_state(ek.identity_spectrum(80, 80), 0.0), reps=60, seed=5, threads=th),
     "comparison_functional": lambda th: _compare_window(60, 30, 5, th),
     "null_reference_W": lambda th: ek.null_reference_W(60, 40, 30, seed=5, k=2, threads=th).raw.tolist(),
-    "sample_goe_top": lambda th: ek.sample_goe_top(60, 3, 30, seed=5, threads=th).raw.tolist(),
 }
 
 
