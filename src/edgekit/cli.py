@@ -187,7 +187,7 @@ def cmd_detect(args) -> int:
     table_N = args.table_N if args.table_N is not None else spec.N
     table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed)
     table_id = f"goe_R_N{table_N}_n{args.null_reps}_seed{args.table_seed}"
-    mus = detect_mod.observed_top3(spec, args.seed, args.threads)
+    mus = detect_mod.observed_top3(spec, args.seed)
     result = detect_mod.detect(mus[0], mus[1], mus[2], table, table_id=table_id)
     out = _outdir(args)
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)

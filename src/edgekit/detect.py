@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import (EnsembleConfig, constant_population, covariance_replicate,
-                       laguerre_tridiagonal, map_replicates, replicate_rng, sample_goe_top,
+from .ensemble import (EnsembleConfig, constant_population, laguerre_tridiagonal,
+                       map_covariance_replicates, replicate_rng, sample_goe_top,
                        tridiagonal_top)
 from .population import PopulationSpectrum
 
@@ -52,22 +52,20 @@ def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
     return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
 
 
-def observed_top3(spec: PopulationSpectrum, seed: int, threads: int = 1) -> np.ndarray:
+def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
     """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream (seed, 0).
 
     A constant population c I draws c times the Laguerre tridiagonal of X^* X and
-    solves it by `tridiagonal_top`, with no dense matrix and no scipy; any other
-    population draws X and eigensolves densely through `map_replicates`.
+    solves its leading min(M, N) block (the rest is the zero eigenvalues) by
+    `tridiagonal_top`, with no dense matrix and no scipy; any other population
+    draws X and eigensolves densely in the calling process.
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
     if constant_population(spec.eigenvalues):
         d, e = laguerre_tridiagonal(replicate_rng(seed, 0), spec.M, spec.N)
-        c = spec.eigenvalues[0]
-        return tridiagonal_top(c * d[:, None], c * e[:, None], 3)[0]
-    # imported before map_replicates, whose BLAS pin then finds scipy's OpenBLAS loaded
-    import scipy.linalg  # noqa: F401
-
-    return map_replicates(covariance_replicate, [(config, 0)], threads)[0]
+        c, n = spec.eigenvalues[0], min(spec.M, spec.N)
+        return tridiagonal_top(c * d[:n, None], c * e[:n - 1, None], 3)[0]
+    return map_covariance_replicates([(config, 0)], 1)[0]
 
 
 def p_value(R: float, table: np.ndarray) -> float:

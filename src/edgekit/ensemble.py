@@ -328,6 +328,16 @@ def covariance_replicate(args):
     return top_eigenvalues(X, config.spectrum, config.k)
 
 
+def map_covariance_replicates(jobs: list, threads: int) -> list:
+    """map_replicates(covariance_replicate, jobs, threads), with scipy.linalg imported
+    first: forked workers inherit it, and the BLAS pin in map_replicates finds
+    scipy's OpenBLAS already loaded rather than loading it unpinned inside a job.
+    """
+    import scipy.linalg  # noqa: F401
+
+    return map_replicates(covariance_replicate, jobs, threads)
+
+
 def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
                     edge: EdgeParams | None = None) -> EdgeSamples:
     """Rescaled top-k edge samples over independent replicates.
@@ -335,14 +345,10 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     Failures propagate with the replicate index attached.  Results are a pure
     function of (config, seed) regardless of threads.
     """
-    # imported before the pool starts: forked workers inherit it, and the BLAS pin
-    # in map_replicates finds scipy's OpenBLAS already loaded
-    import scipy.linalg  # noqa: F401
-
     if edge is None:
         edge = edge_params(config.spectrum, require_subcritical=True)
     jobs = [(config, r) for r in range(config.replicates)]
-    raw = np.array(map_replicates(covariance_replicate, jobs, threads))
+    raw = np.array(map_covariance_replicates(jobs, threads))
     return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 

@@ -64,7 +64,7 @@ def test_observed_top3_constant_population_wiring(M, N):
     spec = ek.load_spectrum(f"twopoint:a=2.5,b=2.5,w=0.5,M={M},N={N}")
     d, e = laguerre_tridiagonal(replicate_rng(7, 0), M, N)
     exact = np.linalg.eigvalsh(2.5 * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))[::-1][:3]
-    mus = detect_mod.observed_top3(spec, 7, threads=2)
+    mus = detect_mod.observed_top3(spec, 7)
     assert np.max(np.abs(mus - exact)) <= 1e-13 * exact[0]
 
 
