@@ -103,23 +103,6 @@ class EnsembleConfig:
         if self.replicates < 1:
             raise DomainRejectionError("replicates must be positive")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "N": self.spectrum.N, "M": self.spectrum.M,
-            "spectrum_eigenvalues": [repr(float(v)) for v in self.spectrum.eigenvalues],
-            "entries": {"kind": self.entries.kind, "p": self.entries.p},
-            "replicates": self.replicates, "k": self.k, "seed": self.seed,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "EnsembleConfig":
-        data = json.loads(text)
-        spectrum = PopulationSpectrum(
-            np.array([float(v) for v in data["spectrum_eigenvalues"]]), data["M"], data["N"])
-        entries = EntryDistribution(kind=data["entries"]["kind"], p=data["entries"]["p"])
-        return EnsembleConfig(spectrum=spectrum, entries=entries,
-                              replicates=data["replicates"], k=data["k"], seed=data["seed"])
-
 
 @dataclass(frozen=True)
 class EdgeSamples:

@@ -11,9 +11,13 @@ inverse form of Silverstein & Choi (1995),
     f(u) = -u + (u/d) (1/M) sum_j sigma_j / (sigma_j + u) - z = 0,
 
 and follows the root by Newton continuation in z (as in Dobriban's SPECTRODE):
-from Im z = 1 down a geometric ladder to each point's target Im z.  Steps are
-kept in Im u <= 0, i.e. Im m >= 0; f has exactly one root there when Im z > 0,
-so the Herglotz branch is the only one Newton can reach.
+down a geometric ladder in Im z from above the spectrum's scale, where
+m = -1/z is close to the root, to each point's target Im z.  The rungs on the
+way are solved only loosely, since each merely seeds the next; the last one
+is solved to the requested tolerance on the relative residual
+|m - RHS(m)| / |m|.  Steps are kept in Im u <= 0, i.e. Im m >= 0; f has
+exactly one root there when Im z > 0, so the Herglotz branch is the only one
+Newton can reach.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .population import EdgeParams, PopulationSpectrum
 DEFAULT_TOL = 1e-12
 _NEWTON_STEPS = 100  # per eta rung
 _HALVINGS = 40       # step halvings per Newton step
+_RUNG_TOL = 1e-3     # residual at which an intermediate eta rung hands over
 _EPS = np.finfo(float).eps
 
 
@@ -55,35 +60,51 @@ class DensityCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, max_steps: int):
-    """Newton's method on f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z.
-
-    u = 1/m, so f(u) = 0 is the self-consistent equation; unlike the equation in
-    m it stays regular at the d > 1 pole m ~ -(1 - 1/d)/z near E = 0, where
-    u -> 0.  A step is halved while it would leave the closed lower half-plane
-    (Im u <= 0, i.e. Im m >= 0) or grow the residual |m - RHS(m)| / max(1, |m|),
-    which is also the convergence test, until it falls below the rounding unit
-    of u.  Only unconverged points are evaluated, for at most max_steps steps.
-    Returns (u, residual, Newton steps per point).
-    """
+def _evaluator(spec: PopulationSpectrum):
+    """evaluate(u, z) -> (f, f') for f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z."""
     sigma = spec._values[:, None]
     w_sigma = spec._weights * spec._values
     w_sigma2 = w_sigma * spec._values
 
-    def evaluate(uu, zz):
+    def evaluate(u, z):
         # one M x n reciprocal array per evaluation, squared in place for f'
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = 1.0 / (sigma + uu[None, :])
+            inv = 1.0 / (sigma + u[None, :])
             s1 = w_sigma @ inv
             inv *= inv
             s2 = w_sigma2 @ inv
-            f = uu * (s1 / spec.d - 1.0) - zz
-            m = 1.0 / uu
-            res = np.abs(m - 1.0 / (uu + f)) / np.maximum(1.0, np.abs(m))
-        return f, s2 / spec.d - 1.0, np.where(np.isfinite(res), res, np.inf)
+            return u * (s1 / spec.d - 1.0) - z, s2 / spec.d - 1.0
 
-    u = u.copy()
-    f, fp, res = evaluate(u, z)
+    return evaluate
+
+
+def _residual(u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """|m - RHS(m)| / |m| = |f| / |u + f| for m = 1/u, RHS(m) = 1/(u + f); inf where not finite.
+
+    Relative, so that it means the same at every population scale: scaling
+    Sigma by c scales u and f by c and leaves it unchanged.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        res = np.abs(f) / np.abs(u + f)
+    return np.where(np.isfinite(res), res, np.inf)
+
+
+def _newton(evaluate, z: np.ndarray, u: np.ndarray, f: np.ndarray, fp: np.ndarray,
+            tol, max_steps: int):
+    """Newton's method on f(u) = 0 from u with its f(u; z) and f'(u) already known.
+
+    u = 1/m, so f(u) = 0 is the self-consistent equation; unlike the equation in
+    m it stays regular at the d > 1 pole m ~ -(1 - 1/d)/z near E = 0, where
+    u -> 0.  A step is halved while it would leave the closed lower half-plane
+    (Im u <= 0, i.e. Im m >= 0) or grow the relative residual |m - RHS(m)| / |m|,
+    which is also the convergence test against tol (a scalar or one value per
+    point), until it falls below the rounding unit of u.  Only unconverged
+    points are evaluated, for at most max_steps steps.
+    Returns (u, f, f', residual, Newton steps per point).
+    """
+    u, f, fp = u.copy(), f.copy(), fp.copy()
+    res = _residual(u, f)
+    tol = np.broadcast_to(tol, z.shape)
     steps = np.zeros(z.shape, dtype=int)
     active = np.flatnonzero(res > tol)
     for _ in range(max_steps):
@@ -97,7 +118,8 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, 
         take = np.zeros(active.size, dtype=bool)
         todo = np.arange(active.size)
         for _ in range(_HALVINGS):
-            ft[todo], fpt[todo], rt[todo] = evaluate(trial[todo], za[todo])
+            ft[todo], fpt[todo] = evaluate(trial[todo], za[todo])
+            rt[todo] = _residual(trial[todo], ft[todo])
             passed = (trial[todo].imag <= 0.0) & (rt[todo] <= ra[todo])
             take[todo[passed]] = True
             todo = todo[~passed]
@@ -113,38 +135,47 @@ def _newton(spec: PopulationSpectrum, z: np.ndarray, u: np.ndarray, tol: float, 
         u[moved], f[moved], fp[moved], res[moved] = trial[take], ft[take], fpt[take], rt[take]
         steps[active] += 1
         # a point no halving could improve has stalled; it keeps its residual
-        active = moved[rt[take] > tol]
-    return u, res, steps
+        active = moved[rt[take] > tol[moved]]
+    return u, f, fp, res, steps
 
 
 def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
     """Solve the batch by Newton continuation in u = 1/m down an eta ladder.
 
-    Newton needs a start near the Herglotz root, so each point is solved at
-    eta = 1 first (from m = -1/z, close to the root there), then at eta / 4
-    per rung down to its own target eta, every rung seeding the next.  Only the
-    points whose eta moved are solved on a rung.  Newton stops at the first
-    residual <= tol, where the error in m can still be ~ residual / sqrt(eta)
-    near a square-root edge; one more guarded step on every converged point
-    takes it to roundoff.
+    Newton needs a start near the Herglotz root, and m = -1/z is one once |z|
+    exceeds the spectrum.  So each point starts at eta = max(1, sigma_1 (1 +
+    d^{-1/2})^2), a bound on E_plus, and is solved at eta / 4 per rung down to
+    its own target eta, every rung seeding the next; only the points whose eta
+    moved are solved on a rung.  A rung that only seeds the next stops at
+    residual _RUNG_TOL, and only a point's final rung goes on to tol.
+    f(u; z) is affine in z: lowering eta by delta adds i delta to f and leaves
+    f' unchanged, so f and f' are carried from rung to rung, not evaluated
+    again.  Newton stops at the first residual <= tol, where the error in m
+    can still be ~ residual / sqrt(eta) near a square-root edge; one more
+    guarded step on every converged point takes it to roundoff.
     """
     z = np.asarray(z, dtype=complex)
     shape, z = z.shape, z.ravel()
+    evaluate = _evaluator(spec)
     eta_target = z.imag
-    rung = np.maximum(eta_target, 1.0)
+    rung = np.maximum(eta_target, max(1.0, spec.sigma1 * (1.0 + spec.d ** -0.5) ** 2))
     u = -(z.real + 1j * rung)
+    f, fp = evaluate(u, z.real + 1j * rung)
     res = np.full(z.shape, np.inf)
     steps = np.zeros(z.shape, dtype=int)
     moved = np.arange(z.size)
     while moved.size:
         zz = z.real[moved] + 1j * rung[moved]
-        u[moved], res[moved], n = _newton(spec, zz, u[moved], tol, _NEWTON_STEPS)
+        rung_tol = np.where(rung[moved] == eta_target[moved], tol, _RUNG_TOL)
+        u[moved], f[moved], fp[moved], res[moved], n = _newton(
+            evaluate, zz, u[moved], f[moved], fp[moved], rung_tol, _NEWTON_STEPS)
         steps[moved] += n
         lower = np.maximum(eta_target, rung / 4.0)
         moved = np.flatnonzero(lower < rung)
+        f[moved] += 1j * (rung[moved] - lower[moved])
         rung = lower
     done = np.flatnonzero(res <= tol)
-    u[done], res[done], n = _newton(spec, z[done], u[done], 0.0, 1)
+    u[done], _, _, res[done], n = _newton(evaluate, z[done], u[done], f[done], fp[done], 0.0, 1)
     steps[done] += n
     return (1.0 / u).reshape(shape), res.reshape(shape), steps.reshape(shape)
 

@@ -1,9 +1,10 @@
 """Independent oracle routes used to pin expected values.
 
 Each oracle deliberately avoids the code path it checks: root bracketing via
-scipy's brentq, eigenvalues via characteristic polynomials or SVD, F1 via a
-determinant representation, the Painleve function via plain backward marching
-(valid right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
+scipy's brentq, m(z) of one- and two-atom populations as polynomial roots,
+eigenvalues via characteristic polynomials or SVD, F1 via a determinant
+representation, the Painleve function via plain backward marching (valid
+right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
 explicit index loops for the Green observables, a dense eigensolve per
 replicate for the decoupling check's rank-one updates, and dense X^T X draws
 for the Laguerre tridiagonal model.
@@ -32,6 +33,22 @@ def edge_quantities(eigs: np.ndarray, d: float):
 def mp_quadratic_roots(d: float, z: complex) -> complex:
     """Upper-half-plane root of z m^2 + (z + 1 - 1/d) m + 1 = 0 via np.roots."""
     roots = np.roots([z, z + 1.0 - 1.0 / d, 1.0])
+    return roots[np.argmax(roots.imag)]
+
+
+def two_point_cubic_root(a: float, b: float, w: float, d: float, z: complex) -> complex:
+    """Upper-half-plane m(z) for weight w on b and 1 - w on a, as a root of a cubic.
+
+    Multiplying m (-z + d^{-1} [(1 - w) a / (a m + 1) + w b / (b m + 1)]) = 1
+    through by (a m + 1)(b m + 1) leaves a cubic in m; of its three roots
+    (np.roots) the one with the largest Im m is the Herglotz solution.
+    """
+    A, B = np.array([a, 1.0]), np.array([b, 1.0])
+    AB = np.polymul(A, B)
+    cubic = np.polyadd(np.polyadd(-z * np.polymul([1.0, 0.0], AB),
+                                  np.polymul([1.0, 0.0], ((1.0 - w) * a * B + w * b * A) / d)),
+                       -AB)
+    roots = np.roots(cubic)
     return roots[np.argmax(roots.imag)]
 
 

@@ -708,17 +708,6 @@ def test_edge_samples_csv(tmp_path, twopoint200):
     assert np.array_equal(parsed, samples.rows)
 
 
-def test_config_json_roundtrip(twopoint200):
-    config = _config(twopoint200, replicates=7, k=2, seed=9,
-                     entries=ek.EntryDistribution(kind="skewed-two-point", p=0.8))
-    back = ek.EnsembleConfig.from_json(config.to_json())
-    assert (back.spectrum.N, back.spectrum.M, back.replicates, back.k, back.seed) == (200, 200, 7, 2, 9)
-    assert back.entries == config.entries
-    assert np.array_equal(back.spectrum.eigenvalues, config.spectrum.eigenvalues)
-    # derived samples are bit-identical
-    assert np.array_equal(ek.sample_data_matrix(back, 3), ek.sample_data_matrix(config, 3))
-
-
 def test_local_law_probe_rejects_lower_half(identity100):
     X = ek.sample_data_matrix(_config(identity100, seed=8), 0)
     with pytest.raises(DomainRejectionError):

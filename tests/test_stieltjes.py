@@ -4,7 +4,7 @@ import pytest
 import edgekit as ek
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
-from oracles import mp_quadratic_roots
+from oracles import mp_quadratic_roots, two_point_cubic_root
 
 
 def test_edge_value_identity(identity100):
@@ -71,14 +71,48 @@ def test_pole_and_small_d_vs_quadratic_oracle(M, N, E, eta0):
     assert np.max(np.abs(m - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
 
+@pytest.mark.parametrize("eta0", [1e-6, 1e-8])
+@pytest.mark.parametrize("descriptor", [
+    # atoms up to b = 8 put the spectrum far above eta = 1, where m = -1/z is
+    # no start for Newton; a = 1, b = 2 is the control
+    "twopoint:a=0.5,b=8,w=0.7,M=400,N=200",
+    "twopoint:a=0.5,b=8,w=0.7,M=200,N=200",
+    "twopoint:a=1,b=4,w=0.5,M=300,N=200",
+    "twopoint:a=1,b=2,w=0.5,M=200,N=200",
+])
+def test_two_point_vs_cubic_oracle(descriptor, eta0):
+    spec = ek.parse_descriptor(descriptor)
+    a, b = spec.eigenvalues[-1], spec.eigenvalues[0]
+    w = np.mean(spec.eigenvalues == b)
+    z = np.linspace(-1.0, 40.0, 411) + 1j * eta0
+    m, res, _ = ek.stieltjes.solve_mfc_grid(spec, z)
+    ref = np.array([two_point_cubic_root(a, b, w, spec.d, zz) for zz in z])
+    assert np.all(res <= ek.stieltjes.DEFAULT_TOL)
+    assert np.max(np.abs(m - ref) / np.abs(ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+@pytest.mark.parametrize("M, N", [(200, 400), (400, 200)])
+def test_population_scale_vs_quadratic_oracle(M, N, c):
+    # m of c Sigma at z is m(z / c) / c; the residual is relative to |m|, so a
+    # small |m| at a large scale is solved as tightly as |m| ~ 1 at scale 1
+    spec = ek.identity_spectrum(M, N).scaled(c)
+    z = c * np.linspace(-1.0, 40.0, 411) + 1e-6j
+    m, res, _ = ek.stieltjes.solve_mfc_grid(spec, z)
+    ref = np.array([mp_quadratic_roots(spec.d, zz / c) / c for zz in z])
+    assert np.all(res <= ek.stieltjes.DEFAULT_TOL)
+    assert np.max(np.abs(m - ref) / np.abs(ref)) <= 1e-10
+
+
 def test_newton_step_budget():
-    # Newton continuation takes tens of steps per point; a fixed-point sweep
-    # would need thousands at this eta
+    # loose intermediate eta rungs keep Newton continuation to a few steps
+    # per rung; a fixed-point sweep would need thousands at this eta
     spec = ek.uniform_spectrum(0.5, 2.0, 200, 200)
     z = np.linspace(0.0, 8.0, 500) + 1e-8j
     _, res, steps = ek.stieltjes.solve_mfc_grid(spec, z)
     assert np.all(res <= ek.stieltjes.DEFAULT_TOL)
-    assert steps.max() <= 200
+    assert steps.max() <= 45
+    assert steps.mean() <= 20
 
 
 def test_convergence_error_names_the_point(identity100, monkeypatch):
