@@ -8,8 +8,8 @@ from .stieltjes import DensityCurve, StieltjesValue, density, edge_exponent_prob
 from .tracy_widom import (PainleveSolution, TWTable, airy_kernel_f2, cached_tw_table,
                           hastings_mcleod, tw_cdf, tw_table)
 from .ensemble import (EdgeSamples, EnsembleConfig, EntryDistribution, KsReport, ks_statistic,
-                       null_reference_W, rescale_edge, run_monte_carlo, sample_data_matrix,
-                       sample_goe_top, smoothed_count, top_eigenvalues, two_sample_ks)
+                       rescale_edge, run_monte_carlo, sample_data_matrix, sample_goe_top,
+                       smoothed_count, top_eigenvalues, two_sample_ks)
 from .flow import FlowState, coefficient_identities_check, flow_state, gamma_dot_check, zdot_check
 from .green import (CheckReport, GreenObservables, Linearization, build_linearization,
                     cancellation_check, comparison_functional, decoupling_residual,

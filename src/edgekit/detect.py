@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import (EnsembleConfig, constant_population, laguerre_tridiagonal,
-                       map_covariance_replicates, replicate_rng, sample_goe_top,
-                       tridiagonal_top)
+from .ensemble import (EnsembleConfig, constant_population, laguerre_tridiagonals,
+                       map_covariance_replicates, sample_goe_top, tridiagonal_top)
 from .population import PopulationSpectrum
 
 _GAP_EPS = 1e-14
@@ -62,9 +61,9 @@ def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
     if constant_population(spec.eigenvalues):
-        d, e = laguerre_tridiagonal(replicate_rng(seed, 0), spec.M, spec.N)
+        d, e = laguerre_tridiagonals(spec.M, spec.N, seed, [0])
         c, n = spec.eigenvalues[0], min(spec.M, spec.N)
-        return tridiagonal_top(c * d[:n, None], c * e[:n - 1, None], 3)[0]
+        return tridiagonal_top(c * d[:n], c * e[:n - 1], 3)[0]
     return map_covariance_replicates([(config, 0)], 1)[0]
 
 

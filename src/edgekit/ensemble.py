@@ -1,6 +1,9 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
+Every replicate's matrix is built here, in one of two forms, and `green` and
+`detect` only consume it: the Gram product of B = Sigma^{1/2} X by `gram`, or,
+for a constant population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
@@ -18,10 +21,11 @@ Within one map_replicates call each process reuses its dense arrays (the data
 matrix, its weighted copy, the Gram) from one replicate to the next, through
 `workspace`, and releases them when the call returns; every in-place step
 computes what its out-of-place form did, so outputs do not change.
-A constant population needs no data matrix at all: `laguerre_tridiagonal`
-draws the spectrum of X^* X in tridiagonal form (`compare` and `detect` use
-it), and `tridiagonal_top` takes the top k of many tridiagonals at once by
-vectorized Sturm bisection (the GOE null table and `detect`'s draw).
+A constant population needs no data matrix at all: `laguerre_tridiagonals`
+draws the spectrum of X^* X in tridiagonal form, one matrix per column, for
+many streams at once (`compare` and `detect` use it), and `tridiagonal_top`
+takes the top k of such columns by vectorized Sturm bisection (the GOE null
+table and `detect`'s draw).
 `detect`'s one draw and replicate 0 of its null table share the stream
 (seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
@@ -39,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainRejectionError
-from .flow import flow_state
-from .population import EdgeParams, PopulationSpectrum, edge_params, identity_spectrum
+from .population import EdgeParams, PopulationSpectrum, edge_params
 
 ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
 
@@ -237,29 +240,28 @@ def sample_data_matrix(config: EnsembleConfig, replicate_index: int,
     return config.entries.sample(rng, config.spectrum.M, config.spectrum.N, out=out)
 
 
-def _gram(X: np.ndarray, sig: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The smaller symmetrization of X^* Sigma X, written into out.
+def gram(X: np.ndarray, sig: np.ndarray, side: str, out: np.ndarray | None = None) -> np.ndarray:
+    """A Gram product of B = Sigma^{1/2} X, Sigma = diag(sig), written into out.
 
-    M <= N: B B^T with B = Sigma^{1/2} X, which BLAS forms by syrk, so it is
-    exactly symmetric.  M > N: (Sigma X)^T X by gemm.
+    side "M" gives B B^T (M x M); side "N" gives B^T B = X^* Sigma X itself
+    (N x N), whose eigenvectors are those of Q.  The two share their nonzero
+    spectrum.  BLAS forms either by syrk, so it is exactly symmetric.  Without
+    out, the result goes into the workspace array "gram".
     """
     M, N = X.shape
-    if M <= N:
-        B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
-        return np.matmul(B, B.T, out=out)
-    B = np.multiply(sig[:, None], X, out=workspace("scaled", (M, N)))
-    return np.matmul(B.T, X, out=out)
+    n = M if side == "M" else N
+    if out is None:
+        out = workspace("gram", (n, n))
+    B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
+    return np.matmul(B, B.T, out=out) if side == "M" else np.matmul(B.T, B, out=out)
 
 
-def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
-                    validate: bool = False) -> np.ndarray:
+def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.ndarray:
     """Top k eigenvalues of X^* Sigma X (Sigma diagonal = spectrum eigenvalues).
 
-    Works with whichever of the M x M / N x N symmetrizations is smaller; both
-    share the nonzero spectrum, and solves for its top k alone (LAPACK dsyevr,
-    the MRRR algorithm of Dhillon & Parlett 2004).  With validate=True all
-    eigenpairs are computed and the residuals ||A v - lambda v|| of the top k
-    checked against 1e-8 ||A||.  X is left unchanged.
+    Works with whichever of the M x M / N x N Grams is smaller; both share the
+    nonzero spectrum, and solves for its top k alone (LAPACK dsyevr, the MRRR
+    algorithm of Dhillon & Parlett 2004).  X is left unchanged.
     """
     M, N = X.shape
     sig = spectrum.eigenvalues
@@ -267,33 +269,17 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int,
         raise DomainRejectionError(f"spectrum has {sig.size} eigenvalues but X has {M} rows")
     if k > min(M, N):
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
-    n = min(M, N)
-    A = _gram(X, sig, workspace("gram", (n, n)))
+    n, side = min(M, N), "M" if M <= N else "N"
+    A = gram(X, sig, side)
     try:
-        if validate:
-            vals, vecs = np.linalg.eigh(A)
-            norm = np.linalg.norm(A, 2)
-            for j in range(1, k + 1):
-                resid = np.linalg.norm(A @ vecs[:, -j] - vals[-j] * vecs[:, -j])
-                if resid > 1e-8 * max(norm, 1e-300):
-                    raise ConvergenceError(
-                        f"eigenpair residual {resid:.3e} exceeds 1e-8*||A||={1e-8 * norm:.3e} "
-                        f"(cond diag: ||A||={norm:.3e}, trace={np.trace(A):.3e})")
-        else:
-            from scipy.linalg import eigh
+        from scipy.linalg import eigh
 
-            # LAPACK reads the lower triangle of a Fortran-ordered matrix.  The syrk
-            # Gram is exactly symmetric, so A.T is that matrix and is solved in place;
-            # gemm's can differ across the diagonal in the last bit, so it is copied.
-            if M <= N:
-                F = A.T
-            else:
-                F = workspace("gram_fortran", (n, n)).T
-                F[...] = A
-            vals = eigh(F, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
-                        overwrite_a=True)
+        # LAPACK reads the lower triangle of a Fortran-ordered matrix; the Gram is
+        # exactly symmetric, so A.T is that matrix and is solved in place
+        vals = eigh(A.T, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
+                    overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        A = _gram(X, sig, np.empty((n, n)))  # the eigensolve may have overwritten it
+        A = gram(X, sig, side, out=np.empty((n, n)))  # the eigensolve may have overwritten it
         raise ConvergenceError(
             f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
             f"trace={np.trace(A):.3e}") from exc
@@ -335,9 +321,11 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 
-def laguerre_tridiagonal(rng: np.random.Generator, M: int, N: int):
-    """(d, e), the diagonal and off-diagonal of an N x N symmetric tridiagonal matrix
-    with the spectrum of X^* X, for X an M x N matrix of independent N(0, 1/N) entries.
+def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e), shapes (N, R) and (N - 1, R): column r holds the diagonal and the
+    off-diagonal of an N x N symmetric tridiagonal matrix with the spectrum of
+    X^* X, for X an M x N matrix of independent N(0, 1/N) entries drawn from
+    stream (seed, indices[r]).
 
     The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `sample_goe_top`'s
     twin: Golub-Kahan bidiagonalization of the wide one of sqrt(N) X and its
@@ -345,20 +333,24 @@ def laguerre_tridiagonal(rng: np.random.Generator, M: int, N: int):
     with independent entries, chi_{m-j+1} on the diagonal and chi_{n-j} below
     it (j = 1..n), and B B^T / N has the nonzero spectrum of X^* X.  For M < N
     the last N - M rows are zero: the zero eigenvalues of X^* X.  Costs
-    2 min(M, N) - 1 chi-square draws and no dense matrix.
+    2 min(M, N) - 1 chi-square draws per matrix and no dense matrix.
     """
     n, m = min(M, N), max(M, N)
-    diag2 = rng.chisquare(np.arange(m, m - n, -1))  # B_jj^2
-    sub2 = rng.chisquare(np.arange(n - 1, 0, -1))  # B_{j+1,j}^2
-    d, e = np.zeros(N), np.zeros(N - 1)
-    d[:n] = diag2
-    d[1:n] += sub2
-    e[:n - 1] = np.sqrt(diag2[:-1] * sub2)
-    return d / N, e / N
+    d, e = np.zeros((N, len(indices))), np.zeros((N - 1, len(indices)))
+    for r, index in enumerate(indices):
+        rng = replicate_rng(seed, index)
+        diag2 = rng.chisquare(np.arange(m, m - n, -1))  # B_jj^2
+        sub2 = rng.chisquare(np.arange(n - 1, 0, -1))  # B_{j+1,j}^2
+        d[:n, r] = diag2
+        d[1:n, r] += sub2
+        e[:n - 1, r] = np.sqrt(diag2[:-1] * sub2)
+    d /= N
+    e /= N
+    return d, e
 
 
 def constant_population(weights: np.ndarray) -> bool:
-    """All weights equal: X^* diag(w) X is w[0] X^* X, whose law `laguerre_tridiagonal` draws."""
+    """All weights equal: X^* diag(w) X is w[0] X^* X, whose law `laguerre_tridiagonals` draws."""
     return bool(np.all(weights == weights[0]))
 
 
@@ -448,18 +440,6 @@ def sample_goe_top(N: int, k: int, replicates: int, seed: int) -> EdgeSamples:
         e[:, r] = np.sqrt(rng.chisquare(dof) / N)
     raw = tridiagonal_top(d, e, k)
     return EdgeSamples(rows=N ** (2.0 / 3.0) * (raw - 2.0), raw=raw)
-
-
-def null_reference_W(N: int, M: int, replicates: int, seed: int, k: int = 1,
-                     threads: int = 1) -> EdgeSamples:
-    """Rescaled null-case samples N^{2/3} (mu - M_plus) of W = X^* T X.
-
-    T is the renormalized identity population, the flow's weights t_alpha at
-    Sigma = I: its scaling factor is 1 and its edge is M_plus, so the general
-    ensemble's rescaling gamma0 N^{2/3} (mu - E_plus) is the null one.
-    """
-    null = flow_state(identity_spectrum(M, N), 0.0).as_population()
-    return run_monte_carlo(EnsembleConfig(null, replicates=replicates, k=k, seed=seed), threads)
 
 
 def ks_statistic(samples: np.ndarray, table_grid: np.ndarray, cdf_column: np.ndarray,

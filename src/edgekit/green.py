@@ -28,9 +28,13 @@ every resampled row follows from the one-row resolvent identity (the identity
 the decoupling expansion is built from) by O(N) spectral sums.
 
 The comparison functional draws Q for a constant population T = cI as a
-tridiagonal J (the beta = 1 Laguerre model, `ensemble.laguerre_tridiagonal`)
+tridiagonal J (the beta = 1 Laguerre model, `ensemble.laguerre_tridiagonals`)
 and reads Tr (Q - z)^{-1} off the pivots of J - z: no dense matrix and no
 eigensolve.
+
+Every replicate's matrix, the Gram X^* T X of a real X or the tridiagonal J,
+comes from `ensemble`; this module forms neither.  Only `roman_green` forms
+its own product, since the linearization may hand it a complex X.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (GAUSSIAN, constant_population, laguerre_tridiagonal, map_replicates,
-                       replicate_rng, workspace)
+from .ensemble import (GAUSSIAN, constant_population, gram, laguerre_tridiagonals,
+                       map_replicates, replicate_rng, workspace)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -86,13 +90,6 @@ def build_linearization(X: np.ndarray, t_alpha: np.ndarray, z: complex) -> Linea
     H[N:, :N] = X
     H[N:, N:] = -np.diag(1.0 / t_alpha)
     return Linearization(H=H, N=N, M=M, z=z, t_alpha=t_alpha)
-
-
-def _q_matrix(X: np.ndarray, t_alpha: np.ndarray) -> np.ndarray:
-    """X^* T X for a real X, formed in the replicate engine's workspace (see ensemble.workspace)."""
-    M, N = X.shape
-    TX = np.multiply(t_alpha[:, None], X, out=workspace("scaled", (M, N)))
-    return np.matmul(TX.T, X, out=workspace("gram", (N, N)))
 
 
 def roman_green(X: np.ndarray, t_alpha: np.ndarray, z: complex) -> np.ndarray:
@@ -246,7 +243,7 @@ def _x3_x4_worker(args):
     state, z, seed, rep = args
     X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
                         out=workspace("X", (state.M, state.N)))
-    w = 1.0 / (np.linalg.eigvalsh(_q_matrix(X, state.t_alpha)) - z)
+    w = 1.0 / (np.linalg.eigvalsh(gram(X, state.t_alpha, "N")) - z)
     m, X22, X33, X44, X44p = _avg_observables(w.sum(), (w ** 2).sum(), (w ** 3).sum(),
                                               (w ** 4).sum(), state.N)
     return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
@@ -371,7 +368,7 @@ def _decoupling_base(args):
     N = state.N
     X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, N)  # frozen base
     X[alpha, :] = 0.0
-    lam, V = np.linalg.eigh(_q_matrix(X, state.t_alpha))
+    lam, V = np.linalg.eigh(gram(X, state.t_alpha, "N"))  # eigenvectors of X^* T X itself
     rows = np.array([GAUSSIAN.sample(replicate_rng(seed, (base << 32) + r), 1, N)[0]
                      for r in range(per_base)])
     g_pow = (1.0 / (lam - z))[:, None] ** np.arange(1, 6)  # (N, 5): g_j^p for p = 1..5
@@ -441,8 +438,9 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
 
 
 def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Tr (J - z)^{-1} for the symmetric tridiagonal J = (d[r], e[r]) of each row r and
-    each z with Im z > 0, shape (rows, len(z)).
+    """Tr (J - z)^{-1} for the symmetric tridiagonal J = (d[:, r], e[:, r]) of each
+    column r, laid out as `ensemble.laguerre_tridiagonals` returns them, and each z
+    with Im z > 0, shape (columns, len(z)).
 
     The LDL^T pivots of J - z, p_1 = d_1 - z and p_i = d_i - z - e_{i-1}^2 / p_{i-1},
     multiply to det(J - z), so Tr (J - z)^{-1} = -sum_i p_i' / p_i with the z-derivative
@@ -451,39 +449,38 @@ def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarra
     """
     z = np.asarray(z)[None, :]
     e2 = e ** 2
-    p = d[:, :1] - z
+    p = d[0][:, None] - z
     dp = np.full(p.shape, -1.0 + 0.0j)
     total = dp / p
-    for i in range(1, d.shape[1]):
-        ratio = e2[:, i - 1:i] / p
+    for d_i, e2_prev in zip(d[1:], e2):
+        ratio = e2_prev[:, None] / p
         dp = ratio * dp / p - 1.0
-        p = d[:, i:i + 1] - z - ratio
+        p = d_i[:, None] - z - ratio
         total += dp / p
     return -total
 
 
 def _functional_worker(args):
-    """N int Im m of one replicate, by a dense eigensolve; for a constant population,
-    the Laguerre tridiagonal of X^* X as one array (d, e), which `_functional_values`
-    evaluates."""
+    """N int Im m of one replicate, by a dense eigensolve."""
     state, xs, weights, eta, seed, rep = args
-    if constant_population(state.t_alpha):
-        return np.concatenate(laguerre_tridiagonal(replicate_rng(seed, rep), state.M, state.N))
     X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
                         out=workspace("X", (state.M, state.N)))
-    lam = np.linalg.eigvalsh(_q_matrix(X, state.t_alpha))
+    lam = np.linalg.eigvalsh(gram(X, state.t_alpha, "N"))
     vals = np.array([np.mean(1.0 / (lam - (x + state.L_plus_t + 1j * eta))).imag for x in xs])
     return state.N * np.dot(weights, vals)
 
 
-def _functional_values(state: FlowState, results: list, xs, weights, eta: float) -> np.ndarray:
-    """The per-replicate functional from `_functional_worker`'s results for state: a
-    constant population's tridiagonals go through `_tridiagonal_trace` all at once."""
-    if not constant_population(state.t_alpha):
-        return np.array(results)
-    tri = state.t_alpha[0] * np.array(results)
-    trace = _tridiagonal_trace(tri[:, :state.N], tri[:, state.N:], xs + state.L_plus_t + 1j * eta)
-    return trace.imag @ weights
+def _functional_samples(state: FlowState, xs, weights, eta: float, seed: int, indices,
+                        threads: int) -> np.ndarray:
+    """N int Im m of the replicate drawn from stream (seed, index), for each index."""
+    if constant_population(state.t_alpha):
+        # a replicate is tens of microseconds of chi-square draws, less than a
+        # pool spends forking and pickling it: draw them all here
+        d, e = laguerre_tridiagonals(state.M, state.N, seed, indices)
+        t = state.t_alpha[0]
+        return _tridiagonal_trace(t * d, t * e, xs + state.L_plus_t + 1j * eta).imag @ weights
+    jobs = [(state, xs, weights, eta, seed, index) for index in indices]
+    return np.array(map_replicates(_functional_worker, jobs, threads))
 
 
 def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: int, seed: int,
@@ -514,16 +511,9 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     xs = 0.5 * (u + 1.0) * (E2 - E1) + E1
     weights = 0.5 * (E2 - E1) * w
     null_state = flow_state(identity_spectrum(spec.M, spec.N), 0.0)
-
-    def half(state, first):
-        jobs = [(state, xs, weights, eta, seed, first + r) for r in range(reps)]
-        # a constant population's replicate is tens of microseconds of chi-square
-        # draws, less than a pool spends forking and pickling it: draw them here
-        results = ([_functional_worker(job) for job in jobs] if constant_population(state.t_alpha)
-                   else map_replicates(_functional_worker, jobs, threads))
-        return _functional_values(state, results, xs, weights, eta)
-
-    tilde, null = half(tilde_state, 0), half(null_state, _NULL_STREAM)
+    tilde = _functional_samples(tilde_state, xs, weights, eta, seed, range(reps), threads)
+    null = _functional_samples(null_state, xs, weights, eta, seed,
+                               range(_NULL_STREAM, _NULL_STREAM + reps), threads)
     gap = float(tilde.mean() - null.mean())
     ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
     return float(tilde.mean()), float(null.mean()), gap, ci

@@ -22,7 +22,6 @@ Newton can reach.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,8 +142,9 @@ def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
     """Solve the batch by Newton continuation in u = 1/m down an eta ladder.
 
     Newton needs a start near the Herglotz root, and m = -1/z is one once |z|
-    exceeds the spectrum.  So each point starts at eta = max(1, sigma_1 (1 +
-    d^{-1/2})^2), a bound on E_plus, and is solved at eta / 4 per rung down to
+    exceeds the spectrum.  So each point starts at eta = sigma_1 (1 + d^{-1/2})^2,
+    a bound on E_plus that scales with Sigma (so the ladder, and the Newton steps
+    on it, are the same at every scale), and is solved at eta / 4 per rung down to
     its own target eta, every rung seeding the next; only the points whose eta
     moved are solved on a rung.  A rung that only seeds the next stops at
     residual _RUNG_TOL, and only a point's final rung goes on to tol.
@@ -158,7 +158,7 @@ def _iterate(spec: PopulationSpectrum, z: np.ndarray, tol: float):
     shape, z = z.shape, z.ravel()
     evaluate = _evaluator(spec)
     eta_target = z.imag
-    rung = np.maximum(eta_target, max(1.0, spec.sigma1 * (1.0 + spec.d ** -0.5) ** 2))
+    rung = np.maximum(eta_target, spec.sigma1 * (1.0 + spec.d ** -0.5) ** 2)
     u = -(z.real + 1j * rung)
     f, fp = evaluate(u, z.real + 1j * rung)
     res = np.full(z.shape, np.inf)
@@ -262,15 +262,3 @@ def edge_exponent_probe(spec: PopulationSpectrum, edge: EdgeParams,
         lo, hi = lo * 10.0, hi  # shrink from the edge side, where eta smearing dominates
     raise ConvergenceError("edge window contains non-positive density values after shrinking")
 
-
-def diagnostics_json(spec: PopulationSpectrum, z_values, tol: float = DEFAULT_TOL) -> str:
-    """Per-point solver diagnostics as JSON records {E, eta, re_m, im_m, residual, iterations}."""
-    records = []
-    for z in np.asarray(z_values, dtype=complex):
-        sol = solve_mfc(spec, complex(z), tol)
-        records.append({
-            "E": z.real, "eta": z.imag,
-            "re_m": sol.m.real, "im_m": sol.m.imag,
-            "residual": sol.residual, "iterations": sol.iterations,
-        })
-    return json.dumps(records, indent=2)

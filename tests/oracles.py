@@ -7,7 +7,9 @@ representation, the Painleve function via plain backward marching (valid
 right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
 explicit index loops for the Green observables, a dense eigensolve per
 replicate for the decoupling check's rank-one updates, and dense X^T X draws
-for the Laguerre tridiagonal model.
+for the Laguerre tridiagonal model.  `null_reference_W` is not an oracle but
+a reference sampler built on edgekit's own Monte Carlo; tests compare it with
+the closed-form null ensemble and with other samplers.
 """
 
 import numpy as np
@@ -124,6 +126,21 @@ def null_w_top(N: int, M: int, k: int, replicates: int, seed: int):
         X = replicate_rng(seed, r).standard_normal((M, N)) / np.sqrt(N)
         raw[r] = scale * svd_squared(X)[:k]
     return N ** (2.0 / 3.0) * (raw - scale * (1.0 + np.sqrt(d)) ** 2 / d), raw
+
+
+def null_reference_W(N: int, M: int, replicates: int, seed: int, k: int = 1,
+                     threads: int = 1):
+    """Rescaled null-case samples N^{2/3} (mu - M_plus) of W = X^* T X, by edgekit.
+
+    T is the renormalized identity population, the flow's weights t_alpha at
+    Sigma = I: its scaling factor is 1 and its edge is M_plus, so the general
+    ensemble's rescaling gamma0 N^{2/3} (mu - E_plus) is the null one.
+    """
+    import edgekit as ek
+
+    null = ek.flow_state(ek.identity_spectrum(M, N), 0.0).as_population()
+    return ek.run_monte_carlo(ek.EnsembleConfig(null, replicates=replicates, k=k, seed=seed),
+                              threads)
 
 
 def loop_observables(G: np.ndarray, i: int, m: complex, tau: float):

@@ -4,8 +4,10 @@ import pytest
 import edgekit as ek
 from edgekit import detect as detect_mod
 from edgekit.detect import detect
-from edgekit.ensemble import laguerre_tridiagonal, replicate_rng
+from edgekit.ensemble import laguerre_tridiagonals
 from edgekit.errors import DomainRejectionError
+
+from oracles import null_reference_W
 
 # median of the N=400 GOE gap-ratio table at 5000 replicates, seed 0, from the
 # tridiagonal sampler; over seeds 0-11 these medians have mean 1.3134 and SD
@@ -62,7 +64,7 @@ def test_observed_top3_constant_population_wiring(M, N):
     # c I is drawn as c times the Laguerre tridiagonal of stream (seed, 0): no data
     # matrix; the law of that draw is checked in test_laguerre_top3_matches_dense
     spec = ek.load_spectrum(f"twopoint:a=2.5,b=2.5,w=0.5,M={M},N={N}")
-    d, e = laguerre_tridiagonal(replicate_rng(7, 0), M, N)
+    d, e = (part[:, 0] for part in laguerre_tridiagonals(M, N, 7, [0]))
     exact = np.linalg.eigvalsh(2.5 * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))[::-1][:3]
     mus = detect_mod.observed_top3(spec, 7)
     assert np.max(np.abs(mus - exact)) <= 1e-13 * exact[0]
@@ -116,7 +118,7 @@ def test_spike_power_smoke():
 def test_covariance_null_table_diagnostic():
     # the covariance-null gap-ratio table agrees with the GOE table in law
     goe = ek.calibrate_null(150, 2000, seed=11)
-    tops = ek.null_reference_W(150, 150, 2000, seed=12, k=3).raw
+    tops = null_reference_W(150, 150, 2000, seed=12, k=3).raw
     cov = np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
     xy = np.sort(np.concatenate([goe, cov]))
     Fg = np.searchsorted(goe, xy, side="right") / goe.size

@@ -16,7 +16,7 @@ from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
 from oracles import (charpoly_eigs_3x3, dense_goe_top, dense_wishart_spectra,
-                     inverse_transform_samples, null_w_top, svd_squared)
+                     inverse_transform_samples, null_reference_W, null_w_top, svd_squared)
 
 
 def _config(spec, **kw):
@@ -293,8 +293,10 @@ def _functions_containing(token: str) -> set:
     ("sqrt(max(", {"green._psi"}),                                       # the control parameter
     ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents
                         "green.verify_schur"}),
-    ("chisquare(", {"ensemble.sample_goe_top", "ensemble.laguerre_tridiagonal"}),  # beta = 1 models
+    ("chisquare(", {"ensemble.sample_goe_top",                          # beta = 1 models
+                    "ensemble.laguerre_tridiagonals"}),
     ("np.less(q, 0.0", {"ensemble.tridiagonal_top"}),                    # Sturm counts
+    ("[:, None], X", {"ensemble.gram"}),                                 # B = Sigma^{1/2} X
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -348,15 +350,6 @@ def test_top_eigenvalues_match_full_eigvalsh(M, N, rank):
     tol = 1e-12 * max(1.0, np.linalg.norm(A, 2))
     for k in range(1, min(M, N) + 1):
         assert np.max(np.abs(ek.top_eigenvalues(X, spec, k) - full[:k])) <= tol, k
-
-
-def test_top_eigenvalues_validated_residuals():
-    rng = np.random.default_rng(12)
-    spec = ek.identity_spectrum(40, 40)
-    X = rng.standard_normal((40, 40)) / np.sqrt(40)
-    a = ek.top_eigenvalues(X, spec, 3, validate=True)
-    b = ek.top_eigenvalues(X, spec, 3, validate=False)
-    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_rescale_edge():
@@ -422,8 +415,7 @@ def test_tridiagonal_goe_matches_dense():
 
 def _laguerre_rows(M, N, reps, seed):
     """(d, e) of reps Laguerre tridiagonals from streams (seed, r), laid out (N, reps)."""
-    rows = [ensemble.laguerre_tridiagonal(replicate_rng(seed, r), M, N) for r in range(reps)]
-    return np.array([d for d, _ in rows]).T, np.array([e for _, e in rows]).T
+    return ensemble.laguerre_tridiagonals(M, N, seed, range(reps))
 
 
 def _goe_rows(N, reps, seed):
@@ -500,8 +492,8 @@ def test_laguerre_top3_matches_dense(M, N):
 @pytest.mark.parametrize("M, N", [(6, 10), (10, 10), (15, 10), (60, 60)],
                          ids=["M<N", "M=N", "M>N", "M=N-60"])
 def test_laguerre_tridiagonal_matches_dense(M, N):
-    # two-sample KS of compare's constant-population draws (Laguerre tridiagonal, through
-    # its worker and evaluator) against dense draws of X^T X, for the top eigenvalue and
+    # two-sample KS of compare's constant-population draws (Laguerre tridiagonals, through
+    # its per-replicate functional) against dense draws of X^T X, for the top eigenvalue and
     # the per-replicate comparison functional, at the 0.1% critical value.  The small
     # sizes are the sharp ones: a chi entry off by one degree of freedom, or paired
     # with the wrong neighbour, moves the law by O(1/N)
@@ -511,11 +503,10 @@ def test_laguerre_tridiagonal_matches_dense(M, N):
     window, eta = green.edge_window(N, green.DEFAULT_EPS)
     u, w = np.polynomial.legendre.leggauss(15)
     xs, weights = 0.5 * window * u, 0.5 * window * w
-    tri = map_replicates(green._functional_worker,
-                         [(state, xs, weights, eta, 41, r) for r in range(reps)], 1)
-    functional = green._functional_values(state, tri, xs, weights, eta)
-    top = t * np.array([np.linalg.eigvalsh(np.diag(r[:N]) + np.diag(r[N:], 1)
-                                           + np.diag(r[N:], -1))[-1] for r in tri])
+    functional = green._functional_samples(state, xs, weights, eta, 41, range(reps), 1)
+    d, e = _laguerre_rows(M, N, reps, 41)
+    top = t * np.array([np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))[-1]
+                        for dr, er in zip(d.T, e.T)])
     lam = t * dense_wishart_spectra(M, N, reps, seed=42)
     z = xs + state.L_plus_t + 1j * eta
     dense_functional = np.array([(1.0 / (lam - zk)).sum(axis=1).imag for zk in z]).T @ weights
@@ -540,7 +531,7 @@ def test_null_reference_edge_value():
 
 @pytest.mark.parametrize("M, N", [(80, 40), (60, 60), (40, 80)])  # d = 1/2, 1, 2
 def test_null_reference_matches_closed_form(M, N):
-    w = ek.null_reference_W(N, M, 20, seed=3, k=2)
+    w = null_reference_W(N, M, 20, seed=3, k=2)
     rows, raw = null_w_top(N, M, 2, 20, seed=3)
     assert np.max(np.abs(w.rows - rows)) <= 1e-12
     assert np.max(np.abs(w.raw - raw) / raw) <= 1e-12
@@ -548,11 +539,11 @@ def test_null_reference_matches_closed_form(M, N):
 
 def test_null_reference_matches_identity_monte_carlo(tw_reference):
     N = 200
-    w = ek.null_reference_W(N, N, 400, seed=21)
+    w = null_reference_W(N, N, 400, seed=21)
     spec = ek.identity_spectrum(N, N)
     q = ek.run_monte_carlo(_config(spec, replicates=400, seed=22))
     assert ek.two_sample_ks(w.column(0), q.column(0)) < 0.08
-    again = ek.null_reference_W(N, N, 400, seed=21)
+    again = null_reference_W(N, N, 400, seed=21)
     assert np.array_equal(w.rows, again.rows)
 
 

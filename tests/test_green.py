@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import edgekit as ek
-from edgekit import green
-from edgekit.ensemble import laguerre_tridiagonal, replicate_rng
+from edgekit import ensemble, green
+from edgekit.ensemble import laguerre_tridiagonals, replicate_rng
 from edgekit.errors import DomainRejectionError
 from edgekit.green import edge_window_z, roman_green
 
-from oracles import dense_decoupling_replicate, loop_observables
+from oracles import dense_decoupling_replicate, loop_observables, null_reference_W
 
 
 def _random_lin(rng, N, M, z):
@@ -235,7 +235,7 @@ _THREAD_CASES = {
     "decoupling_residual": lambda th: ek.decoupling_residual(
         ek.flow_state(ek.identity_spectrum(80, 80), 0.0), reps=60, seed=5, threads=th),
     "comparison_functional": lambda th: _compare_window(60, 30, 5, th),
-    "null_reference_W": lambda th: ek.null_reference_W(60, 40, 30, seed=5, k=2, threads=th).raw.tolist(),
+    "null_reference_W": lambda th: null_reference_W(60, 40, 30, seed=5, k=2, threads=th).raw.tolist(),
 }
 
 
@@ -289,6 +289,8 @@ def test_compare_seeds_share_no_draw(monkeypatch):
         keys[run].add((seed, index))
         return replicate_rng(seed, index)
 
+    # the Laguerre draws happen in ensemble, the bootstrap in green
+    monkeypatch.setattr(ensemble, "replicate_rng", recording_rng)
     monkeypatch.setattr(green, "replicate_rng", recording_rng)
     spec = ek.identity_spectrum(60, 60)
     w = 0.4 * 60 ** (-2.0 / 3.0 + 0.05)
@@ -306,10 +308,9 @@ def test_compare_seeds_share_no_draw(monkeypatch):
 def test_tridiagonal_trace_matches_dense_eigenvalues(M, N):
     # the pivot recurrence against sum_j 1/(lambda_j - z) over a dense eigensolve of the
     # same tridiagonal matrices (for M < N, N - M of their rows are zero), around the edge
-    d, e = (np.array(part) for part in zip(
-        *[laguerre_tridiagonal(replicate_rng(7, r), M, N) for r in range(4)]))
+    d, e = laguerre_tridiagonals(M, N, 7, range(4))
     lam = np.array([np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))
-                    for dr, er in zip(d, e)])
+                    for dr, er in zip(d.T, e.T)])
     edge = (1.0 + np.sqrt(M / N)) ** 2
     for eta, bound in ((1.0, 1e-12), (0.02, 1e-12), (1e-3, 1e-9), (1e-6, 1e-9)):
         z = edge + np.linspace(-0.1, 0.1, 9) + 1j * eta

@@ -104,6 +104,21 @@ def test_population_scale_vs_quadratic_oracle(M, N, c):
     assert np.max(np.abs(m - ref) / np.abs(ref)) <= 1e-10
 
 
+def test_newton_steps_scale_covariant():
+    # the ladder starts at a bound on the edge that scales with Sigma, so Sigma and
+    # z scaled together take the same Newton steps, small scales as well as large
+    def total_steps(c):
+        spec = ek.identity_spectrum(200, 400).scaled(c)
+        z = c * (np.linspace(-1.0, 40.0, 411) + 1e-6j)
+        _, res, steps = ek.stieltjes.solve_mfc_grid(spec, z)
+        assert np.all(res <= ek.stieltjes.DEFAULT_TOL)
+        return int(steps.sum())
+
+    unit = total_steps(1.0)
+    for c in (1e-6, 1e-3, 1e3):
+        assert abs(total_steps(c) - unit) <= 0.01 * unit, c
+
+
 def test_newton_step_budget():
     # loose intermediate eta rungs keep Newton continuation to a few steps
     # per rung; a fixed-point sweep would need thousands at this eta
@@ -193,11 +208,3 @@ def test_herglotz_everywhere(twopoint200):
     wts = twopoint200._weights[:, None]
     rhs = 1.0 / (-z + np.sum(wts * vals / (vals * m[None, :] + 1.0), axis=0) / twopoint200.d)
     assert np.max(np.abs(m - rhs) / np.maximum(1.0, np.abs(m))) <= 1e-12
-
-
-def test_diagnostics_json(identity100):
-    text = ek.stieltjes.diagnostics_json(identity100, [2.0 + 0.1j])
-    import json
-    rec = json.loads(text)[0]
-    assert set(rec) == {"E", "eta", "re_m", "im_m", "residual", "iterations"}
-    assert rec["residual"] <= 1e-12
