@@ -51,20 +51,25 @@ def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
     return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
 
 
+OBSERVED_STREAM = 2 ** 63 + 2  # the observed draw's stream index, apart from every table's
+
+
 def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
-    """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream (seed, 0).
+    """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream
+    (seed, OBSERVED_STREAM), which no null table reads.
 
     A constant population c I draws c times the Laguerre tridiagonal of X^* X and
     solves its leading min(M, N) block (the rest is the zero eigenvalues) by
     `tridiagonal_top`, with no dense matrix and no scipy; any other population
-    draws X and eigensolves densely in the calling process.
+    is one Gaussian replicate of `covariance_replicate`, solved by dsyevr in the
+    calling process.
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
     if constant_population(spec.eigenvalues):
-        d, e = laguerre_tridiagonals(spec.M, spec.N, seed, [0])
+        d, e = laguerre_tridiagonals(spec.M, spec.N, seed, [OBSERVED_STREAM])
         c, n = spec.eigenvalues[0], min(spec.M, spec.N)
         return tridiagonal_top(c * d[:n], c * e[:n - 1], 3)[0]
-    return map_covariance_replicates([(config, 0)], 1)[0]
+    return map_covariance_replicates([(config, OBSERVED_STREAM)], 1)[0]
 
 
 def p_value(R: float, table: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
-Every replicate's matrix is built here, in one of two forms, and `green` and
-`detect` only consume it: the Gram product of B = Sigma^{1/2} X by `gram`, or,
-for a constant population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
+Every replicate's matrix is built here, in one of three forms, and `green` and
+`detect` only consume it: the Gram product of B = Sigma^{1/2} X by `gram`; for
+Gaussian entries, where only the spectrum is wanted, the Gram of the reduced
+triangular factor of `gaussian_factor` by `factor_gram`; or, for a constant
+population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
@@ -12,22 +14,25 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
     replicate r of a run or of a GOE / null table    (seed, r)
     compare, null-reference draw r                   (seed, 2^62 + r)
     bootstrap of a flow check or of compare          (seed, 2^63 + 1)
+    detect, the observed draw                        (seed, 2^63 + 2)
     decoupling, frozen base b                        (seed, 2^63 + 1000 + b)
     decoupling, resampled row r of base b            (seed, (b << 32) + r)
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
 count: on Linux the replicate engine pins every loaded OpenBLAS to one thread.
 Within one map_replicates call each process reuses its dense arrays (the data
-matrix, its weighted copy, the Gram) from one replicate to the next, through
-`workspace`, and releases them when the call returns; every in-place step
-computes what its out-of-place form did, so outputs do not change.
-A constant population needs no data matrix at all: `laguerre_tridiagonals`
+matrix or the factor, its weighted copy, the Gram) from one replicate to the
+next, through `workspace`, and releases them when the call returns; every
+in-place step computes what its out-of-place form did, so outputs do not change.
+A Gaussian replicate of `covariance_replicate` draws no data matrix: X is
+orthogonally invariant, so the factor of `gaussian_factor` has the singular
+values of Sigma^{1/2} X in law from far fewer variates (Rademacher and
+skewed-two-point entries lack that invariance and keep the dense X).
+A constant population needs no dense matrix at all: `laguerre_tridiagonals`
 draws the spectrum of X^* X in tridiagonal form, one matrix per column, for
 many streams at once (`compare` and `detect` use it), and `tridiagonal_top`
 takes the top k of such columns by vectorized Sturm bisection (the GOE null
 table and `detect`'s draw).
-`detect`'s one draw and replicate 0 of its null table share the stream
-(seed, 0) when --seed equals --table-seed; this touches one table entry.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import contextlib
 import ctypes
 import functools
 import json
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -152,36 +158,47 @@ def _attributed(worker, indexed_job):
         raise ConvergenceError(f"{getattr(worker, 'job_name', 'replicate')} {index}: {exc}") from exc
 
 
+# whether scipy.linalg was loaded -> the (get, set) thread controls of every OpenBLAS
+# loaded then; forked workers inherit the libraries and so the entries
+_blas_controls: dict = {}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run every OpenBLAS loaded in this process on one thread, restoring the old counts on exit.
 
     The libraries are read from /proc/self/maps: numpy's (64-bit integers) and,
-    once scipy.linalg is imported, scipy's.  Where that file does not exist,
-    nothing changes.
+    once scipy.linalg is imported, scipy's.  The map is read once per process,
+    and once more after scipy.linalg first loads, the one import that brings a
+    second OpenBLAS.  Where that file does not exist, nothing changes.
     """
-    controls = []
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = dict.fromkeys(line.split()[-1] for line in maps
-                                  if "openblas" in line and ".so" in line)
-    except OSError:
-        paths = {}
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):  # numpy's symbols carry the suffix, scipy's do not
-            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
-            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                controls.append((set_, get()))
-    for set_, _ in controls:
+    scipy_loaded = "scipy.linalg" in sys.modules
+    controls = _blas_controls.get(scipy_loaded)
+    if controls is None:
+        controls = []
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = dict.fromkeys(line.split()[-1] for line in maps
+                                      if "openblas" in line and ".so" in line)
+        except OSError:
+            paths = {}
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for suffix in ("64_", ""):  # numpy's symbols carry the suffix, scipy's do not
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    controls.append((get, set_))
+        _blas_controls[scipy_loaded] = controls  # stored whole: another thread sees all or none
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
         set_(1)
     try:
         yield
     finally:
-        for set_, count in controls:
+        for (_, set_), count in zip(controls, counts):
             set_(count)
 
 
@@ -270,20 +287,95 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
     if k > min(M, N):
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
     n, side = min(M, N), "M" if M <= N else "N"
-    A = gram(X, sig, side)
+    # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
+    # symmetric, so A.T is that matrix and is solved in place
+    return _solve_top(gram(X, sig, side).T, k, True,
+                      lambda: gram(X, sig, side, out=np.empty((n, n))))
+
+
+def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
+    """Top k eigenvalues, descending, of the symmetric Fortran-ordered A, read from its
+    lower or upper triangle and solved in place by dsyevr (the MRRR
+    algorithm of Dhillon & Parlett 2004).  Should LAPACK fail, full() forms the
+    whole matrix afresh, since the solve may have overwritten A, for the message.
+    """
+    n = A.shape[0]
     try:
         from scipy.linalg import eigh
 
-        # LAPACK reads the lower triangle of a Fortran-ordered matrix; the Gram is
-        # exactly symmetric, so A.T is that matrix and is solved in place
-        vals = eigh(A.T, subset_by_index=[n - k, n - 1], driver="evr", eigvals_only=True,
-                    overwrite_a=True)
+        # no pass over A to check for finite values: a replicate's Gram is finite
+        vals = eigh(A, lower=lower, subset_by_index=[n - k, n - 1], driver="evr",
+                    eigvals_only=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        A = gram(X, sig, side, out=np.empty((n, n)))  # the eigensolve may have overwritten it
+        A = full()
         raise ConvergenceError(
             f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
             f"trace={np.trace(A):.3e}") from exc
     return vals[-k:][::-1].copy()
+
+
+def gaussian_factor(config: EnsembleConfig, rep: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A reduced factor F, M x min(M, N), drawn from stream (config.seed, rep), whose
+    Gram F^T F has in law the nonzero spectrum of X^* Sigma X for Gaussian X.
+
+    Sort sigma descending (the row order leaves the law alone) and let row r
+    (0-based) lie in the run [c, e) of equal sigma.  Row r of F is sqrt(sigma_r / N)
+    times: N(0, 1) at columns j < min(c, N), chi_{N-r} at (r, r) for r < N,
+    chi_{e-r} at (r, r-1) for c < r <= N, and 0 elsewhere.  Householder
+    reflections of the rows within a run commute with Sigma and leave the
+    singular values of Sigma^{1/2} X alone; reflections of the columns not yet
+    reduced do too.  Alternating the two reduces Sigma^{1/2} X to this form,
+    with independent entries, as in the Laguerre model of Dumitriu & Edelman
+    (2002): one run gives its bidiagonal, all-distinct sigma Bartlett's triangle.
+    A population of two equal runs at M = N takes M^2 / 4 normals and
+    2 M - 2 chi-square draws in place of M N normals.
+
+    The draw order: the normals row by row, left to right, then the chi-square
+    variates of the diagonal, rows ascending, then those below it, rows
+    ascending.  The top min(M, N) rows form a lower triangle.  Without out, F
+    goes into the workspace array "factor".
+    """
+    M, N = config.spectrum.M, config.spectrum.N
+    n = min(M, N)
+    s = np.sort(config.spectrum.eigenvalues)[::-1]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    lengths = np.diff(np.r_[starts, M])
+    c = np.repeat(starts, lengths)
+    e = c + np.repeat(lengths, lengths)
+    heads = np.minimum(c, n)  # how many normals each row holds
+    below = np.arange(1, min(M, N + 1))
+    below = below[c[below] < below]  # the rows with a variate at (r, r - 1)
+    F = workspace("factor", (M, n)) if out is None else out
+    rng = replicate_rng(config.seed, rep)
+    normals = rng.standard_normal(out=workspace("normals", (int(heads.sum()),)))
+    chi = np.sqrt(rng.chisquare(np.r_[N - np.arange(n), e[below] - below]))
+    F.fill(0.0)
+    F[np.arange(n) < heads[:, None]] = normals
+    flat = F.reshape(-1)
+    flat[:n * (n + 1):n + 1] = chi[:n]
+    flat[below * (n + 1) - 1] = chi[n:]
+    F *= np.sqrt(s / N)[:, None]
+    return F
+
+
+def factor_gram(F: np.ndarray) -> np.ndarray:
+    """F^T F for a factor F of `gaussian_factor`, formed in F's own memory.
+
+    The result is a Fortran-ordered n x n view of F's top n = min(M, N) rows,
+    whose upper triangle holds F^T F (the lower one is not written).  That
+    view's upper triangle is U = L^T, for L the lower triangle of those rows,
+    so LAPACK's dlauum makes U U^T = L^T L in place, at a third of the flops of
+    a syrk of the same size; for M > N, dsyrk then adds the Gram of the
+    remaining rows.
+    """
+    from scipy.linalg.blas import dsyrk
+    from scipy.linalg.lapack import dlauum
+
+    M, n = F.shape
+    A, _ = dlauum(F[:n].T, lower=0, overwrite_c=1)  # info < 0 only for an illegal argument
+    if M > n:
+        A = dsyrk(1.0, F[n:].T, beta=1.0, c=A, lower=0, overwrite_c=1)
+    return A
 
 
 def rescale_edge(mus: np.ndarray, edge: EdgeParams, N: int) -> np.ndarray:
@@ -291,10 +383,21 @@ def rescale_edge(mus: np.ndarray, edge: EdgeParams, N: int) -> np.ndarray:
 
 
 def covariance_replicate(args):
-    """Top config.k eigenvalues of replicate rep of config, for args = (config, rep)."""
+    """Top config.k eigenvalues of replicate rep of config, for args = (config, rep).
+
+    Gaussian entries draw the factor of `gaussian_factor`; other entry laws draw
+    the data matrix X.
+    """
     config, rep = args
-    X = sample_data_matrix(config, rep, out=workspace("X", (config.spectrum.M, config.spectrum.N)))
-    return top_eigenvalues(X, config.spectrum, config.k)
+    spec = config.spectrum
+    if config.entries.kind == "gaussian":
+        def full():  # this replicate's Gram, from its factor drawn afresh
+            F = gaussian_factor(config, rep, out=np.empty((spec.M, min(spec.M, spec.N))))
+            return F.T @ F
+
+        return _solve_top(factor_gram(gaussian_factor(config, rep)), config.k, False, full)
+    X = sample_data_matrix(config, rep, out=workspace("X", (spec.M, spec.N)))
+    return top_eigenvalues(X, spec, config.k)
 
 
 def map_covariance_replicates(jobs: list, threads: int) -> list:

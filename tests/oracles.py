@@ -6,8 +6,9 @@ eigenvalues via characteristic polynomials or SVD, F1 via a determinant
 representation, the Painleve function via plain backward marching (valid
 right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
 explicit index loops for the Green observables, a dense eigensolve per
-replicate for the decoupling check's rank-one updates, and dense X^T X draws
-for the Laguerre tridiagonal model.  `null_reference_W` is not an oracle but
+replicate for the decoupling check's rank-one updates, dense X^T X draws for
+the Laguerre tridiagonal model, dense Sigma^{1/2} X draws for the reduced
+Gaussian factor, and that factor rebuilt entry by entry from its draw order.  `null_reference_W` is not an oracle but
 a reference sampler built on edgekit's own Monte Carlo; tests compare it with
 the closed-form null ensemble and with other samplers.
 """
@@ -114,18 +115,61 @@ def null_w_top(N: int, M: int, k: int, replicates: int, seed: int):
 
     raw holds the top k eigenvalues (squared singular values times the scale)
     and rows = N^{2/3} (raw - M_plus) with M_plus = (1+sqrt(d))^2 / d times the
-    scale.  X comes from the replicate streams (seed, r), so rows pair up with
-    edgekit's null reference draw for draw.
+    scale.  X^* X is drawn as F^T F for the reduced factor F of `reduced_factor`
+    from the replicate streams (seed, r), so rows pair up with edgekit's null
+    reference draw for draw.
     """
-    from edgekit.ensemble import replicate_rng
-
     d = N / M
     scale = np.sqrt(d) * (1.0 + np.sqrt(d)) ** (-4.0 / 3.0)
     raw = np.empty((replicates, k))
     for r in range(replicates):
-        X = replicate_rng(seed, r).standard_normal((M, N)) / np.sqrt(N)
-        raw[r] = scale * svd_squared(X)[:k]
+        raw[r] = scale * svd_squared(reduced_factor(np.ones(M), N, seed, r))[:k]
     return N ** (2.0 / 3.0) * (raw - scale * (1.0 + np.sqrt(d)) ** 2 / d), raw
+
+
+def reduced_factor(sig: np.ndarray, N: int, seed: int, index: int) -> np.ndarray:
+    """The reduced factor of a Gaussian replicate, M x min(M, N), entry by entry from
+    stream (seed, index) in its documented draw order.
+
+    With sigma sorted descending and row r in the run [c, e) of equal values, row
+    r is sqrt(sigma_r / N) times: normals at columns j < min(c, N), chi_{N-r} at
+    (r, r) for r < N, chi_{e-r} at (r, r-1) for c < r <= N, zeros elsewhere.  The
+    stream gives the normals row by row, then the diagonal's chi-square variates,
+    then those below the diagonal.
+    """
+    from edgekit.ensemble import replicate_rng
+
+    s = np.sort(np.asarray(sig, dtype=float))[::-1]
+    M = s.size
+    start = [min(i for i in range(M) if s[i] == s[r]) for r in range(M)]
+    end = [max(i for i in range(M) if s[i] == s[r]) + 1 for r in range(M)]
+    below = [r for r in range(1, min(M - 1, N) + 1) if start[r] < r]
+    rng = replicate_rng(seed, index)
+    normals = iter(rng.standard_normal(sum(min(c, N) for c in start)))
+    diagonal = iter(np.sqrt(rng.chisquare([N - r for r in range(min(M, N))])))
+    subdiagonal = iter(np.sqrt(rng.chisquare([end[r] - r for r in below])))
+    F = np.zeros((M, min(M, N)))
+    for r in range(M):
+        for j in range(min(start[r], N)):
+            F[r, j] = next(normals)
+    for r in range(min(M, N)):
+        F[r, r] = next(diagonal)
+    for r in below:
+        F[r, r - 1] = next(subdiagonal)
+    return F * np.sqrt(s / N)[:, None]
+
+
+def dense_covariance_spectra(sig: np.ndarray, M: int, N: int, replicates: int,
+                             seed: int) -> np.ndarray:
+    """Nonzero eigenvalues, ascending, of X^* Sigma X for dense Gaussian draws of X
+    (M x N, entries N(0, 1/N)), Sigma = diag(sig): one row of min(M, N) per replicate."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((replicates, min(M, N)))
+    root = np.sqrt(np.asarray(sig, dtype=float))[:, None]
+    for r in range(replicates):
+        B = root * rng.standard_normal((M, N)) / np.sqrt(N)
+        rows[r] = np.linalg.eigvalsh(B @ B.T if M <= N else B.T @ B)
+    return rows
 
 
 def null_reference_W(N: int, M: int, replicates: int, seed: int, k: int = 1,

@@ -240,10 +240,11 @@ def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
     assert code == cli.EXIT_CONVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed"), err
-    # the message describes the Gram of replicate 0, not what the eigensolver left of it
-    spec = edgekit.identity_spectrum(20, 20)
-    X = edgekit.sample_data_matrix(edgekit.EnsembleConfig(spec, seed=0), 0)
-    gram = X @ X.T
+    # the message describes the Gram of replicate 0 (of its reduced Gaussian factor),
+    # not what the eigensolver left of it
+    F = edgekit.ensemble.gaussian_factor(
+        edgekit.EnsembleConfig(edgekit.identity_spectrum(20, 20), seed=0), 0)
+    gram = F.T @ F
     assert f"||A||_F={np.linalg.norm(gram):.3e}, trace={np.trace(gram):.3e}" in err, err
 
 
@@ -347,7 +348,7 @@ def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
     cwd, cache = workspace
     last = _run_python([
         "import ctypes; from edgekit import cli, ensemble",
-        "seen, real = [], ensemble.top_eigenvalues",
+        "seen, real = [], ensemble._solve_top",
         "def reading(*args, **kwargs):",
         "    vals = real(*args, **kwargs)",
         "    with open('/proc/self/maps') as maps:",
@@ -356,7 +357,7 @@ def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
         "    getters = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads', None) for p in paths]",
         "    seen.extend(get() for get in getters if get is not None)",
         "    return vals",
-        "ensemble.top_eigenvalues = reading",
+        "ensemble._solve_top = reading",
         "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
         "print(code, seen)"], cwd, cache)

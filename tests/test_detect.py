@@ -4,10 +4,11 @@ import pytest
 import edgekit as ek
 from edgekit import detect as detect_mod
 from edgekit.detect import detect
-from edgekit.ensemble import laguerre_tridiagonals
+from edgekit import ensemble
+from edgekit.ensemble import laguerre_tridiagonals, replicate_rng
 from edgekit.errors import DomainRejectionError
 
-from oracles import null_reference_W
+from oracles import null_reference_W, reduced_factor
 
 # median of the N=400 GOE gap-ratio table at 5000 replicates, seed 0, from the
 # tridiagonal sampler; over seeds 0-11 these medians have mean 1.3134 and SD
@@ -61,23 +62,47 @@ def test_table_median_regression():
 
 @pytest.mark.parametrize("M, N", [(20, 30), (30, 30), (40, 30)], ids=["M<N", "M=N", "M>N"])
 def test_observed_top3_constant_population_wiring(M, N):
-    # c I is drawn as c times the Laguerre tridiagonal of stream (seed, 0): no data
+    # c I is drawn as c times the Laguerre tridiagonal of stream (seed, 2^63 + 2): no data
     # matrix; the law of that draw is checked in test_laguerre_top3_matches_dense
     spec = ek.load_spectrum(f"twopoint:a=2.5,b=2.5,w=0.5,M={M},N={N}")
-    d, e = (part[:, 0] for part in laguerre_tridiagonals(M, N, 7, [0]))
+    d, e = (part[:, 0] for part in laguerre_tridiagonals(M, N, 7, [2 ** 63 + 2]))
     exact = np.linalg.eigvalsh(2.5 * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))[::-1][:3]
     mus = detect_mod.observed_top3(spec, 7)
     assert np.max(np.abs(mus - exact)) <= 1e-13 * exact[0]
 
 
 def test_observed_top3_dense_population_unchanged():
-    # any other population draws X from stream (seed, 0) and eigensolves densely
+    # any other population is the Gaussian replicate (seed, 2^63 + 2) of the engine: the
+    # top of F^T F for the reduced factor F, built here entry by entry from its stream.
+    # The engine draws X itself only for entry laws without orthogonal invariance
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 40, 30)
-    config = ek.EnsembleConfig(spec, replicates=1, k=3, seed=7)
-    dense = ek.top_eigenvalues(ek.sample_data_matrix(config, 0), spec, 3)
-    assert np.array_equal(detect_mod.observed_top3(spec, 7), dense)
+    F = reduced_factor(spec.eigenvalues, 30, 7, 2 ** 63 + 2)
+    exact = np.linalg.eigvalsh(F.T @ F)[::-1][:3]
+    assert np.max(np.abs(detect_mod.observed_top3(spec, 7) - exact)) <= 1e-13 * exact[0]
+    for kind in ("rademacher", "skewed-two-point"):
+        config = ek.EnsembleConfig(spec, entries=ek.EntryDistribution(kind=kind), k=3, seed=7)
+        dense = ek.top_eigenvalues(ek.sample_data_matrix(config, 0), spec, 3)
+        assert np.array_equal(ensemble.covariance_replicate((config, 0)), dense)
     with pytest.raises(DomainRejectionError):
         detect_mod.observed_top3(ek.identity_spectrum(2, 30), 7)
+
+
+def test_observed_draw_shares_no_stream_with_the_table(monkeypatch):
+    # the observed draw once read (seed, 0), replicate 0 of the null table at --table-seed seed
+    keys = []
+
+    def recording_rng(seed, index):
+        keys.append((seed, index))
+        return replicate_rng(seed, index)
+
+    monkeypatch.setattr(ensemble, "replicate_rng", recording_rng)
+    table = detect_mod.calibrate_null(60, 1000, seed=5)  # --table-seed 5
+    assert set(keys) == {(5, r) for r in range(1000)}
+    for spectrum in ("identity:M=60,N=60", "twopoint:a=1,b=2,w=0.5,M=60,N=60"):
+        keys.clear()
+        mus = detect_mod.observed_top3(ek.load_spectrum(spectrum), 5)  # --seed 5
+        assert keys == [(5, 2 ** 63 + 2)], spectrum
+        assert detect(*mus, table).n_null == 1000
 
 
 def test_p_value_tails_and_median():

@@ -15,8 +15,9 @@ from edgekit import ensemble, green
 from edgekit.ensemble import map_replicates, replicate_rng
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
-from oracles import (charpoly_eigs_3x3, dense_goe_top, dense_wishart_spectra,
-                     inverse_transform_samples, null_reference_W, null_w_top, svd_squared)
+from oracles import (charpoly_eigs_3x3, dense_covariance_spectra, dense_goe_top,
+                     dense_wishart_spectra, inverse_transform_samples, null_reference_W,
+                     null_w_top, reduced_factor, svd_squared)
 
 
 def _config(spec, **kw):
@@ -141,6 +142,24 @@ def test_replicates_run_on_one_blas_thread(threads):
         assert get() == 2
     finally:
         set_(saved)
+
+
+def test_blas_controls_found_once(monkeypatch):
+    # a second entry reuses the controls the first one found: /proc/self/maps is not reread
+    import scipy.linalg  # noqa: F401  (the one import that may bring another OpenBLAS)
+
+    with ensemble._one_blas_thread():
+        pass
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "open", recording_open, raising=False)
+    with ensemble._one_blas_thread():
+        pass
+    assert "/proc/self/maps" not in opened
 
 
 def _handing_out(monkeypatch, fill=None):
@@ -294,9 +313,10 @@ def _functions_containing(token: str) -> set:
     ("np.linalg.inv(", {"green.roman_green", "green.Linearization.green",  # resolvents
                         "green.verify_schur"}),
     ("chisquare(", {"ensemble.sample_goe_top",                          # beta = 1 models
-                    "ensemble.laguerre_tridiagonals"}),
+                    "ensemble.laguerre_tridiagonals", "ensemble.gaussian_factor"}),
     ("np.less(q, 0.0", {"ensemble.tridiagonal_top"}),                    # Sturm counts
     ("[:, None], X", {"ensemble.gram"}),                                 # B = Sigma^{1/2} X
+    ("dlauum(", {"ensemble.factor_gram"}),                               # F^T F of the factor
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -514,6 +534,53 @@ def test_laguerre_tridiagonal_matches_dense(M, N):
     assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
 
 
+# (population, N) for the reduced-factor law test: wide, square and tall shapes,
+# tall runs (longer than N), runs that straddle row N, 1, 2 and 3 atoms, all distinct
+_FACTOR_SHAPES = {
+    "1-atom-M<N": ([1.5] * 6, 10),
+    "1-atom-M>N": ([1.5] * 12, 7),
+    "2-atoms-M<N": ([3.0] * 3 + [1.0] * 4, 11),
+    "2-atoms-M=N": ([2.0] * 4 + [1.0] * 5, 9),
+    "2-atoms-M>N-tall-run": ([2.0] * 9 + [0.5] * 4, 6),
+    "3-atoms-M<N": ([4.0] * 2 + [2.0] * 3 + [1.0] * 2, 10),
+    "3-atoms-M>N": ([3.0] * 2 + [2.0] * 6 + [1.0] * 3, 5),
+    "distinct-M=N": (np.linspace(2.0, 0.5, 8), 8),
+    "distinct-M>N": (np.linspace(2.0, 0.5, 10), 6),
+}
+
+
+@pytest.mark.parametrize("shape", list(_FACTOR_SHAPES))
+def test_gaussian_replicates_match_dense_law(shape):
+    # two-sample KS of covariance_replicate's Gaussian draws (the reduced factor) against
+    # dense draws of Sigma^{1/2} X, for each of the top three eigenvalues and the smallest
+    # nonzero one, at the 0.1% critical value.  The small sizes are the sharp ones: a chi
+    # entry off by one degree of freedom, or a run boundary misplaced, moves the law by O(1/N)
+    sig, N = _FACTOR_SHAPES[shape]
+    spec, reps = ek.PopulationSpectrum(np.asarray(sig, dtype=float), len(sig), N), 2000
+    n = min(spec.M, N)
+    config = _config(spec, replicates=reps, k=n, seed=51)
+    mine = np.array(ensemble.map_covariance_replicates([(config, r) for r in range(reps)], 1))
+    dense = dense_covariance_spectra(spec.eigenvalues, spec.M, N, reps, seed=52)[:, ::-1]
+    stats = [ek.two_sample_ks(mine[:, i], dense[:, i]) for i in (0, 1, 2, n - 1)]
+    assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
+
+
+@pytest.mark.parametrize("shape", list(_FACTOR_SHAPES))
+def test_factor_gram_is_exact(shape):
+    # the factor is the documented draw of its stream, entry by entry, and factor_gram
+    # forms F^T F in F's own memory: dlauum, then dsyrk for the rows below min(M, N)
+    sig, N = _FACTOR_SHAPES[shape]
+    spec = ek.PopulationSpectrum(np.asarray(sig, dtype=float), len(sig), N)
+    unwritten = np.full((spec.M, min(spec.M, N)), np.nan)
+    F = ensemble.gaussian_factor(_config(spec, seed=8), 3, out=unwritten)
+    assert np.array_equal(F, reduced_factor(spec.eigenvalues, N, 8, 3))
+    want = F.T @ F
+    A = ensemble.factor_gram(F.copy())
+    assert A.flags.f_contiguous and A.shape == want.shape
+    assert np.max(np.abs(np.triu(A) - np.triu(want))) <= 1e-13 * np.abs(want).max()
+    assert np.shares_memory(ensemble.factor_gram(F), F)
+
+
 def test_goe_vs_f1(tw_reference):
     samples = ek.sample_goe_top(200, 1, 500, seed=9)
     report = ek.ks_statistic(np.sort(samples.column(0)), tw_reference.grid, tw_reference.F1)
@@ -666,19 +733,18 @@ def test_concentration_of_top_eigenvalue(twopoint400):
 
 
 def test_rotation_reduction_two_sample(twopoint200):
-    # Gaussian data: eigenvalues of (UX)^* D (UX) match the diagonal-D law
+    # Gaussian data: eigenvalues of (UX)^* D (UX) match the diagonal-D law, both from
+    # dense X (run_monte_carlo's reduced factor has its own law test against dense X)
     N = 200
     rng = np.random.default_rng(123)
     U, _ = np.linalg.qr(rng.standard_normal((N, N)))
-    config = _config(twopoint200, replicates=300, seed=44)
-    edge = ek.edge_params(twopoint200)
-    rotated = np.empty(300)
+    config, other = (_config(twopoint200, replicates=300, seed=s) for s in (44, 45))
+    rotated, plain = np.empty(300), np.empty(300)
     for rep in range(300):
         X = ek.sample_data_matrix(config, rep)
         rotated[rep] = ek.top_eigenvalues(U @ X, twopoint200, 1)[0]
-    rot_s = ek.rescale_edge(rotated, edge, N)
-    plain = ek.run_monte_carlo(_config(twopoint200, replicates=300, seed=45), edge=edge)
-    assert ek.two_sample_ks(rot_s, plain.column(0)) < 0.08
+        plain[rep] = ek.top_eigenvalues(ek.sample_data_matrix(other, rep), twopoint200, 1)[0]
+    assert ek.two_sample_ks(rotated, plain) < 0.08
 
 
 def test_config_validation(twopoint200):
