@@ -21,7 +21,7 @@ import numpy as np
 
 from . import detect as detect_mod
 from . import green
-from .ensemble import EnsembleConfig, EntryDistribution, ks_statistic, run_monte_carlo
+from .ensemble import ENTRY_KINDS, EnsembleConfig, EntryDistribution, ks_statistic, run_monte_carlo
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import coefficient_identities_check, flow_state, zdot_check
 from .population import SUBCRITICAL_MARGIN_DEFAULT, edge_params, load_spectrum
@@ -273,7 +273,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spectrum", required=True)
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--entries", default="gaussian", choices=["gaussian", "rademacher", "skewed-two-point"])
+    p.add_argument("--entries", default="gaussian", choices=ENTRY_KINDS)
     p.add_argument("--ks", action="store_true", help="emit a KS report against the cached F1 table")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)

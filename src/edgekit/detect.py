@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import (EnsembleConfig, constant_population, laguerre_tridiagonals,
-                       map_covariance_replicates, sample_goe_top, tridiagonal_top)
+from .ensemble import (OBSERVED_STREAM, EnsembleConfig, gaussian_factor, map_replicates,
+                       sample_goe_top)
 from .population import PopulationSpectrum
 
 _GAP_EPS = 1e-14
@@ -51,25 +51,25 @@ def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
     return np.sort((tops[:, 0] - tops[:, 1]) / (tops[:, 1] - tops[:, 2]))
 
 
-OBSERVED_STREAM = 2 ** 63 + 2  # the observed draw's stream index, apart from every table's
+def _observed_draw(config: EnsembleConfig) -> np.ndarray:
+    F = gaussian_factor(config, OBSERVED_STREAM)
+    return np.linalg.svd(F, compute_uv=False)[:3] ** 2
+
+
+_observed_draw.job_name = "observed draw"  # how map_replicates names a failed job
 
 
 def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
     """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream
     (seed, OBSERVED_STREAM), which no null table reads.
 
-    A constant population c I draws c times the Laguerre tridiagonal of X^* X and
-    solves its leading min(M, N) block (the rest is the zero eigenvalues) by
-    `tridiagonal_top`, with no dense matrix and no scipy; any other population
-    is one Gaussian replicate of `covariance_replicate`, solved by dsyevr in the
-    calling process.
+    The draw is the reduced factor F of `gaussian_factor`, whose Gram has the
+    nonzero spectrum of X^* Sigma X in law; its top 3 are the squares of F's
+    largest singular values, by numpy's svd, so no Gram is formed here and no
+    scipy is loaded.  It runs as one job of `map_replicates`, under the BLAS pin.
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
-    if constant_population(spec.eigenvalues):
-        d, e = laguerre_tridiagonals(spec.M, spec.N, seed, [OBSERVED_STREAM])
-        c, n = spec.eigenvalues[0], min(spec.M, spec.N)
-        return tridiagonal_top(c * d[:n], c * e[:n - 1], 3)[0]
-    return map_covariance_replicates([(config, OBSERVED_STREAM)], 1)[0]
+    return map_replicates(_observed_draw, [config], 1)[0]
 
 
 def p_value(R: float, table: np.ndarray) -> float:

@@ -1,25 +1,26 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
-Every replicate's matrix is built here, in one of three forms, and `green` and
-`detect` only consume it: the Gram product of B = Sigma^{1/2} X by `gram`; for
-Gaussian entries, where only the spectrum is wanted, the Gram of the reduced
-triangular factor of `gaussian_factor` by `factor_gram`; or, for a constant
-population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
+Every replicate's matrix is built here, in one of three forms: the Gram product
+of B = Sigma^{1/2} X by `gram`; for Gaussian entries, where only the spectrum
+is wanted, the reduced triangular factor of `gaussian_factor` (`detect` takes
+its singular values, every other caller its Gram by `factor_gram`); or, for a
+constant population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 `replicate_rng(seed, index)`.  The stream keys (seed, index) are:
 
     replicate r of a run or of a GOE / null table    (seed, r)
-    compare, null-reference draw r                   (seed, 2^62 + r)
-    bootstrap of a flow check or of compare          (seed, 2^63 + 1)
-    detect, the observed draw                        (seed, 2^63 + 2)
-    decoupling, frozen base b                        (seed, 2^63 + 1000 + b)
+    compare, null-reference draw r                   (seed, NULL_STREAM + r)
+    bootstrap of a flow check or of compare          (seed, BOOTSTRAP_STREAM)
+    detect, the observed draw                        (seed, OBSERVED_STREAM)
+    decoupling, frozen base b                        (seed, BASE_STREAM + b)
     decoupling, resampled row r of base b            (seed, (b << 32) + r)
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
-count: on Linux the replicate engine pins every loaded OpenBLAS to one thread.
+count: on Linux the replicate engine, and `top_eigenvalues` outside it, pin
+every loaded OpenBLAS to one thread.
 Within one map_replicates call each process reuses its dense arrays (the data
 matrix or the factor, its weighted copy, the Gram) from one replicate to the
 next, through `workspace`, and releases them when the call returns; every
@@ -28,11 +29,10 @@ A Gaussian replicate of `covariance_replicate` draws no data matrix: X is
 orthogonally invariant, so the factor of `gaussian_factor` has the singular
 values of Sigma^{1/2} X in law from far fewer variates (Rademacher and
 skewed-two-point entries lack that invariance and keep the dense X).
-A constant population needs no dense matrix at all: `laguerre_tridiagonals`
-draws the spectrum of X^* X in tridiagonal form, one matrix per column, for
-many streams at once (`compare` and `detect` use it), and `tridiagonal_top`
-takes the top k of such columns by vectorized Sturm bisection (the GOE null
-table and `detect`'s draw).
+A constant population in `compare` needs no dense matrix: `laguerre_tridiagonals`
+draws the spectrum of X^* X in tridiagonal form for many streams at once.
+`tridiagonal_top` takes the top k of a batch of tridiagonals, such as the GOE
+null table's, by vectorized Sturm bisection.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ from .errors import ConvergenceError, DomainRejectionError
 from .population import EdgeParams, PopulationSpectrum, edge_params
 
 ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
+
+# the stream indices of the table above
+NULL_STREAM = 2 ** 62
+BOOTSTRAP_STREAM = 2 ** 63 + 1
+OBSERVED_STREAM = 2 ** 63 + 2
+BASE_STREAM = 2 ** 63 + 1000
 
 
 @dataclass(frozen=True)
@@ -278,7 +284,8 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
 
     Works with whichever of the M x M / N x N Grams is smaller; both share the
     nonzero spectrum, and solves for its top k alone (LAPACK dsyevr, the MRRR
-    algorithm of Dhillon & Parlett 2004).  X is left unchanged.
+    algorithm of Dhillon & Parlett 2004).  X is left unchanged.  The Gram and
+    the solve run with every OpenBLAS on one thread, whatever the caller set.
     """
     M, N = X.shape
     sig = spectrum.eigenvalues
@@ -287,10 +294,13 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
     if k > min(M, N):
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
     n, side = min(M, N), "M" if M <= N else "N"
-    # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
-    # symmetric, so A.T is that matrix and is solved in place
-    return _solve_top(gram(X, sig, side).T, k, True,
-                      lambda: gram(X, sig, side, out=np.empty((n, n))))
+    import scipy.linalg  # noqa: F401  (loaded first, so that the pin finds scipy's OpenBLAS)
+
+    with _one_blas_thread():
+        # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
+        # symmetric, so A.T is that matrix and is solved in place
+        return _solve_top(gram(X, sig, side).T, k, True,
+                          lambda: gram(X, sig, side, out=np.empty((n, n))))
 
 
 def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
@@ -428,7 +438,8 @@ def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarra
     """(d, e), shapes (N, R) and (N - 1, R): column r holds the diagonal and the
     off-diagonal of an N x N symmetric tridiagonal matrix with the spectrum of
     X^* X, for X an M x N matrix of independent N(0, 1/N) entries drawn from
-    stream (seed, indices[r]).
+    stream (seed, indices[r]).  `compare` draws its constant-population halves
+    here.
 
     The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `sample_goe_top`'s
     twin: Golub-Kahan bidiagonalization of the wide one of sqrt(N) X and its
@@ -452,18 +463,15 @@ def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarra
     return d, e
 
 
-def constant_population(weights: np.ndarray) -> bool:
-    """All weights equal: X^* diag(w) X is w[0] X^* X, whose law `laguerre_tridiagonals` draws."""
-    return bool(np.all(weights == weights[0]))
-
-
 _BISECTIONS = 64  # halvings to converge from the widened Gershgorin interval: at most ~56
 
 
 def tridiagonal_top(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """Top k eigenvalues, descending, of R symmetric tridiagonal matrices: row r of
     the (R, k) result belongs to the matrix in column r of d (N x R, its diagonal)
-    and of e ((N - 1) x R, its off-diagonal).
+    and of e ((N - 1) x R, its off-diagonal).  Made for batches, such as the GOE
+    null table: each sweep costs a few ufunc calls per row of d whatever R is,
+    so a single matrix is far cheaper to solve densely.
 
     Sturm bisection (Kahan 1966): the number of eigenvalues below x is the number
     of negative LDL^T pivots of T - x,

@@ -43,15 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (GAUSSIAN, constant_population, gram, laguerre_tridiagonals,
-                       map_replicates, replicate_rng, workspace)
+from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, GAUSSIAN, NULL_STREAM, gram,
+                       laguerre_tridiagonals, map_replicates, replicate_rng, workspace)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
 from .stieltjes import solve_mfc
 
-_AUX_STREAM = 2 ** 63  # replicate-index offset reserved for auxiliary draws
-_NULL_STREAM = 2 ** 62  # replicate-index offset of the comparison's null-reference draws
 DEFAULT_EPS = 0.05
 _BOOTSTRAP = 1000
 _STATIONARY_REPS = 50  # replicates the cancellation check reads on an identity population
@@ -256,7 +254,7 @@ def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int =
 
 
 def _bootstrap_sd(stat, samples_tuple, seed: int, n_boot: int = _BOOTSTRAP) -> float:
-    rng = replicate_rng(seed, _AUX_STREAM + 1)
+    rng = replicate_rng(seed, BOOTSTRAP_STREAM)
     n = samples_tuple[0].shape[0]
     vals = np.empty(n_boot)
     for b in range(n_boot):
@@ -286,72 +284,60 @@ def _status(residual: float, ci: float, threshold: float) -> str:
     return "PASS" if residual <= max(threshold, 3.0 * ci) else "FAIL"
 
 
-def _optical_report(state: FlowState, X3: np.ndarray, X4: np.ndarray, seed: int) -> CheckReport:
+def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
+                threads: int = 1) -> tuple[CheckReport, CheckReport]:
+    """The optical and cancellation reports at the edge window, from one sample.
+
+    Both read the same index-averaged (X3, X4) replicates, so they are drawn
+    and eigensolved once.
+
+    optical: E[X3] - 1/N = (A_4 - tau^{-4}) E[X4].  leading is the
+    power-counting size of X3 (mean absolute value over draws); the theorem
+    suppresses the residual far below it.
+
+    cancellation: the flow-weighted combination N * Im(B_3 X3 - B_4 X4) against
+    its naive size M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude
+    with no cancellation.  Identity populations have B_3 = B_4 = 0
+    identically, and their check reads only the first 50 replicates.
+    """
+    z = edge_window_z(state, eps)
+    X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
     coef = state.A[4] - state.tau_t ** -4
-    resid = float(abs(X3.mean() - 1.0 / state.N - coef * X4.mean()))
+    B3, B4 = state.weighted_coefficient(3), state.weighted_coefficient(4)
+
+    def optical_gap(a, b):
+        return abs(a.mean() - 1.0 / state.N - coef * b.mean())
+
+    def combination(a, b):
+        return state.N * abs(B3 * a.mean().imag - B4 * b.mean().imag)
+
+    resid = float(optical_gap(X3, X4))
     leading = float(np.mean(np.abs(X3)))
-    ci = _bootstrap_sd(lambda a, b: abs(a.mean() - 1.0 / state.N - coef * b.mean()), (X3, X4), seed)
-    return CheckReport("optical", state.N, state.t, leading, resid, ci,
-                       _status(resid, ci, leading / 10.0))
-
-
-def _stationary(state: FlowState) -> bool:
-    """Identity populations: the flow weights B_3 = B_4 = 0 up to solver noise."""
-    return max(abs(state.weighted_coefficient(3)), abs(state.weighted_coefficient(4))) < 1e-13
-
-
-def _cancellation_report(state: FlowState, z: complex, X3: np.ndarray, X4: np.ndarray,
-                         seed: int) -> CheckReport:
-    B3 = state.weighted_coefficient(3)
-    B4 = state.weighted_coefficient(4)
-    if _stationary(state):
-        # the combination is identically zero up to solver noise
-        X3, X4 = X3[:_STATIONARY_REPS], X4[:_STATIONARY_REPS]
-        actual = float(state.N * abs(B3 * X3.mean().imag - B4 * X4.mean().imag))
-        status = "PASS" if actual <= 1e-10 else "FAIL"
-        return CheckReport("cancellation", state.N, state.t, 0.0, actual, 0.0, status)
-    actual = float(state.N * abs(B3 * X3.mean().imag - B4 * X4.mean().imag))
+    ci = _bootstrap_sd(optical_gap, (X3, X4), seed)
+    optical = CheckReport("optical", state.N, state.t, leading, resid, ci,
+                          _status(resid, ci, leading / 10.0))
+    if max(abs(B3), abs(B4)) < 1e-13:
+        # an identity population: B_3 = B_4 = 0 up to solver noise, and so is the combination
+        actual = float(combination(X3[:_STATIONARY_REPS], X4[:_STATIONARY_REPS]))
+        return optical, CheckReport("cancellation", state.N, state.t, 0.0, actual, 0.0,
+                                    "PASS" if actual <= 1e-10 else "FAIL")
+    actual = float(combination(X3, X4))
     naive = float(state.M * control_parameter(state, z) ** 3 * (abs(B3) + abs(B4)))
-    ci = _bootstrap_sd(
-        lambda a, b: state.N * abs(B3 * a.mean().imag - B4 * b.mean().imag), (X3, X4), seed)
-    return CheckReport("cancellation", state.N, state.t, naive, actual, ci,
-                       _status(actual, ci, naive / 10.0))
+    ci = _bootstrap_sd(combination, (X3, X4), seed)
+    return optical, CheckReport("cancellation", state.N, state.t, naive, actual, ci,
+                                _status(actual, ci, naive / 10.0))
 
 
 def optical_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
                      threads: int = 1) -> CheckReport:
-    """Estimate E[X3] - 1/N = (A_4 - tau^{-4}) E[X4] at the edge window.
-
-    leading is the power-counting size of X3 (mean absolute value over draws);
-    the theorem suppresses the residual far below it.
-    """
-    z = edge_window_z(state, eps)
-    return _optical_report(state, *_mc_x3_x4(state, z, reps, seed, threads), seed)
+    """The optical report of `flow_checks` with these arguments."""
+    return flow_checks(state, reps, seed, eps, threads)[0]
 
 
 def cancellation_check(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
                        threads: int = 1) -> CheckReport:
-    """Flow-weighted combination N * Im(B_3 X3 - B_4 X4) against its naive size.
-
-    naive = M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude with no
-    cancellation; identity populations have B_3 = B_4 = 0 identically, and
-    their check reads only the first 50 replicates.
-    """
-    z = edge_window_z(state, eps)
-    n = min(reps, _STATIONARY_REPS) if _stationary(state) else reps
-    return _cancellation_report(state, z, *_mc_x3_x4(state, z, n, seed, threads), seed)
-
-
-def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
-                threads: int = 1) -> tuple[CheckReport, CheckReport]:
-    """(optical_residual, cancellation_check) with these arguments, from one sample.
-
-    Both checks read the same (X3, X4) replicates, so they are drawn and
-    eigensolved once; the reports equal those of the two separate calls.
-    """
-    z = edge_window_z(state, eps)
-    X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
-    return _optical_report(state, X3, X4, seed), _cancellation_report(state, z, X3, X4, seed)
+    """The cancellation report of `flow_checks` with these arguments."""
+    return flow_checks(state, reps, seed, eps, threads)[1]
 
 
 def _decoupling_base(args):
@@ -366,7 +352,7 @@ def _decoupling_base(args):
     """
     state, z, seed, base, per_base, alpha = args
     N = state.N
-    X = GAUSSIAN.sample(replicate_rng(seed, _AUX_STREAM + 1000 + base), state.M, N)  # frozen base
+    X = GAUSSIAN.sample(replicate_rng(seed, BASE_STREAM + base), state.M, N)  # frozen base
     X[alpha, :] = 0.0
     lam, V = np.linalg.eigh(gram(X, state.t_alpha, "N"))  # eigenvectors of X^* T X itself
     rows = np.array([GAUSSIAN.sample(replicate_rng(seed, (base << 32) + r), 1, N)[0]
@@ -473,7 +459,7 @@ def _functional_worker(args):
 def _functional_samples(state: FlowState, xs, weights, eta: float, seed: int, indices,
                         threads: int) -> np.ndarray:
     """N int Im m of the replicate drawn from stream (seed, index), for each index."""
-    if constant_population(state.t_alpha):
+    if np.all(state.t_alpha == state.t_alpha[0]):  # X^* T X is t_alpha[0] X^* X
         # a replicate is tens of microseconds of chi-square draws, less than a
         # pool spends forking and pickling it: draw them all here
         d, e = laguerre_tridiagonals(state.M, state.N, seed, indices)
@@ -513,7 +499,7 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     null_state = flow_state(identity_spectrum(spec.M, spec.N), 0.0)
     tilde = _functional_samples(tilde_state, xs, weights, eta, seed, range(reps), threads)
     null = _functional_samples(null_state, xs, weights, eta, seed,
-                               range(_NULL_STREAM, _NULL_STREAM + reps), threads)
+                               range(NULL_STREAM, NULL_STREAM + reps), threads)
     gap = float(tilde.mean() - null.mean())
     ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
     return float(tilde.mean()), float(null.mean()), gap, ci

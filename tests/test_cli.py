@@ -320,8 +320,8 @@ def _run_python(lines, cwd, cache):
 
 
 def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(workspace):
-    # the null table and a constant population's draw are tridiagonal bisections in
-    # this process; a two-point population still draws X and eigensolves with scipy
+    # the null table is a tridiagonal bisection in this process, and the observed draw
+    # is numpy's svd of a reduced factor on any population: neither loads scipy
     cwd, cache = workspace
     last = _run_python([
         "import sys; from edgekit import cli, ensemble",
@@ -337,33 +337,63 @@ def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(workspace):
         "codes.append(cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                       '--null-reps', '1000', '--threads', '2', '--out', 'dense']))",
         "print(codes, pools, identity, 'scipy' in sys.modules)"], cwd, cache)
-    assert last == "[0, 0, 0] [] False True", last
+    assert last == "[0, 0, 0] [] False False", last
     assert (cwd / "out2" / "detect.json").read_bytes() == (cwd / "out1" / "detect.json").read_bytes()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
 def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
-    # with the BLAS variables unset, scipy's OpenBLAS is loaded before the replicate
-    # engine pins the loaded libraries, so the draw's eigensolve runs on one thread
+    # the observed draw's svd runs on one numpy OpenBLAS thread, whatever the caller set,
+    # and the caller's count is back afterwards
     cwd, cache = workspace
     last = _run_python([
-        "import ctypes; from edgekit import cli, ensemble",
-        "seen, real = [], ensemble._solve_top",
+        "import ctypes; import numpy as np; from edgekit import cli",
+        "with open('/proc/self/maps') as maps:",
+        "    paths = sorted({line.split()[-1] for line in maps",
+        "                    if 'openblas64' in line and '.so' in line})",
+        "lib = ctypes.CDLL(paths[0]) if paths else None",
+        "get = getattr(lib, 'scipy_openblas_get_num_threads64_', None)",
+        "set_ = getattr(lib, 'scipy_openblas_set_num_threads64_', None)",
+        "if get is None or set_ is None:",
+        "    print('unfound'); raise SystemExit",
+        "get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]",
+        "set_(2)",
+        "seen, real = [], np.linalg.svd",
         "def reading(*args, **kwargs):",
-        "    vals = real(*args, **kwargs)",
+        "    seen.append(get())",
+        "    return real(*args, **kwargs)",
+        "np.linalg.svd = reading",
+        "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
+        "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
+        "print(code, seen, get())"], cwd, cache)
+    if last == "unfound":
+        pytest.skip("numpy's OpenBLAS is not found in /proc/self/maps")
+    assert last == "0 [1] 2", last
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
+def test_top_eigenvalues_pins_the_scipy_it_loads(workspace):
+    # scipy.linalg first loads inside top_eigenvalues, with the BLAS variables unset: the
+    # pin still covers scipy's OpenBLAS, so the solve runs on one thread
+    cwd, cache = workspace
+    last = _run_python([
+        "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
+        "assert 'scipy.linalg' not in sys.modules",
+        "seen, solve = [], ensemble._solve_top",
+        "def reading(*args):",
         "    with open('/proc/self/maps') as maps:",
         "        paths = {line.split()[-1] for line in maps",
         "                 if 'openblas' in line and '.so' in line and 'openblas64' not in line}",
         "    getters = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads', None) for p in paths]",
         "    seen.extend(get() for get in getters if get is not None)",
-        "    return vals",
+        "    return solve(*args)",
         "ensemble._solve_top = reading",
-        "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
-        "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
-        "print(code, seen)"], cwd, cache)
-    if last == "0 []":
+        "spec = ek.identity_spectrum(100, 100)",
+        "ek.top_eigenvalues(ek.sample_data_matrix(ek.EnsembleConfig(spec), 0), spec, 1)",
+        "print(seen)"], cwd, cache)
+    if last == "[]":
         pytest.skip("scipy's OpenBLAS is not found in /proc/self/maps")
-    assert last == "0 [1]", last
+    assert last == "[1]", last
 
 
 def test_compare_command(workspace):

@@ -5,7 +5,7 @@ import edgekit as ek
 from edgekit import detect as detect_mod
 from edgekit.detect import detect
 from edgekit import ensemble
-from edgekit.ensemble import laguerre_tridiagonals, replicate_rng
+from edgekit.ensemble import replicate_rng
 from edgekit.errors import DomainRejectionError
 
 from oracles import null_reference_W, reduced_factor
@@ -62,11 +62,12 @@ def test_table_median_regression():
 
 @pytest.mark.parametrize("M, N", [(20, 30), (30, 30), (40, 30)], ids=["M<N", "M=N", "M>N"])
 def test_observed_top3_constant_population_wiring(M, N):
-    # c I is drawn as c times the Laguerre tridiagonal of stream (seed, 2^63 + 2): no data
-    # matrix; the law of that draw is checked in test_laguerre_top3_matches_dense
+    # c I is drawn like every population: the reduced factor of stream (seed, 2^63 + 2), built
+    # here entry by entry; for one run of equal sigma it is the Laguerre bidiagonal, and its
+    # law is checked in test_gaussian_replicates_match_dense_law
     spec = ek.load_spectrum(f"twopoint:a=2.5,b=2.5,w=0.5,M={M},N={N}")
-    d, e = (part[:, 0] for part in laguerre_tridiagonals(M, N, 7, [2 ** 63 + 2]))
-    exact = np.linalg.eigvalsh(2.5 * (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))[::-1][:3]
+    F = reduced_factor(spec.eigenvalues, N, 7, 2 ** 63 + 2)
+    exact = np.linalg.eigvalsh(F.T @ F)[::-1][:3]
     mus = detect_mod.observed_top3(spec, 7)
     assert np.max(np.abs(mus - exact)) <= 1e-13 * exact[0]
 
@@ -85,6 +86,16 @@ def test_observed_top3_dense_population_unchanged():
         assert np.array_equal(ensemble.covariance_replicate((config, 0)), dense)
     with pytest.raises(DomainRejectionError):
         detect_mod.observed_top3(ek.identity_spectrum(2, 30), 7)
+
+
+@pytest.mark.parametrize("M, N", [(60, 80), (80, 80), (100, 80)], ids=["M<N", "M=N", "M>N"])
+def test_observed_top3_is_the_engine_replicate(M, N):
+    # the squared singular values of the factor are the top of the engine's replicate
+    # (seed, 2^63 + 2), which forms the factor's Gram and solves it by dsyevr
+    spec = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
+    config = ek.EnsembleConfig(spec, k=3, seed=3)
+    engine = ensemble.covariance_replicate((config, 2 ** 63 + 2))
+    assert np.max(np.abs(detect_mod.observed_top3(spec, 3) - engine)) <= 1e-12 * engine[0]
 
 
 def test_observed_draw_shares_no_stream_with_the_table(monkeypatch):

@@ -105,36 +105,39 @@ def test_pool_capped_at_job_count(monkeypatch):
     assert os.getpid() not in pids and len(set(pids)) <= 2
 
 
-def _numpy_openblas_threads():
-    """(get, set) of numpy's OpenBLAS thread count, or None where it cannot be found."""
+def _openblas_controls(numpy_only: bool = False) -> list:
+    """(get, set) of the thread count of each OpenBLAS mapped into this process, or of
+    numpy's alone; empty where none can be found."""
     try:
         with open("/proc/self/maps") as maps:
-            paths = [line.split()[-1] for line in maps if "openblas64" in line and ".so" in line]
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line and ".so" in line})
     except OSError:
-        return None
-    if not paths:
-        return None
-    lib = ctypes.CDLL(paths[0])
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
-        return None
-    get.restype, get.argtypes = ctypes.c_int, []
-    set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return get, set_
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_",) if numpy_only else ("64_", ""):  # numpy's symbols carry the suffix
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+    return controls
 
 
 def _blas_threads(job):
-    return _numpy_openblas_threads()[0]()
+    return _openblas_controls(numpy_only=True)[0][0]()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_replicates_run_on_one_blas_thread(threads):
     # the pin holds in the calling process and in forked workers, and is undone on exit
-    controls = _numpy_openblas_threads()
-    if controls is None:
+    controls = _openblas_controls(numpy_only=True)
+    if not controls:
         pytest.skip("numpy's OpenBLAS is not found in /proc/self/maps")
-    get, set_ = controls
+    get, set_ = controls[0]
     saved = get()
     set_(2)
     try:
@@ -142,6 +145,38 @@ def test_replicates_run_on_one_blas_thread(threads):
         assert get() == 2
     finally:
         set_(saved)
+
+
+def test_top_eigenvalues_runs_on_one_blas_thread(monkeypatch):
+    # outside the replicate engine too: the same bits whether the caller set every OpenBLAS
+    # to 1 or 2 threads, the solve on one thread either way, and the caller's count restored
+    import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS, so that its count can be set)
+
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS is found in /proc/self/maps")
+    spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 400, 400)
+    X = ek.sample_data_matrix(_config(spec, seed=9), 0)
+    seen, solve = [], ensemble._solve_top
+
+    def reading(*args):
+        seen.append([get() for get, _ in controls])
+        return solve(*args)
+
+    monkeypatch.setattr(ensemble, "_solve_top", reading)
+    saved = [get() for get, _ in controls]
+    tops = []
+    try:
+        for count in (1, 2):
+            for _, set_ in controls:
+                set_(count)
+            tops.append(ek.top_eigenvalues(X, spec, 3))
+            assert [get() for get, _ in controls] == [count] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, saved):
+            set_(count)
+    assert np.array_equal(tops[0], tops[1])
+    assert seen == [[1] * len(controls)] * 2
 
 
 def test_blas_controls_found_once(monkeypatch):
@@ -605,12 +640,13 @@ def test_null_reference_matches_closed_form(M, N):
 
 
 def test_null_reference_matches_identity_monte_carlo(tw_reference):
-    N = 200
-    w = null_reference_W(N, N, 400, seed=21)
+    # 0.08 is the two-sample KS value at alpha ~ 0.001 for 1200 draws a side
+    N, reps = 200, 1200
+    w = null_reference_W(N, N, reps, seed=21)
     spec = ek.identity_spectrum(N, N)
-    q = ek.run_monte_carlo(_config(spec, replicates=400, seed=22))
+    q = ek.run_monte_carlo(_config(spec, replicates=reps, seed=22))
     assert ek.two_sample_ks(w.column(0), q.column(0)) < 0.08
-    again = null_reference_W(N, N, 400, seed=21)
+    again = null_reference_W(N, N, reps, seed=21)
     assert np.array_equal(w.rows, again.rows)
 
 
@@ -734,13 +770,15 @@ def test_concentration_of_top_eigenvalue(twopoint400):
 
 def test_rotation_reduction_two_sample(twopoint200):
     # Gaussian data: eigenvalues of (UX)^* D (UX) match the diagonal-D law, both from
-    # dense X (run_monte_carlo's reduced factor has its own law test against dense X)
-    N = 200
+    # dense X (run_monte_carlo's reduced factor has its own law test against dense X).
+    # At 1200 draws a side the bound 0.08 is the two-sample KS value at alpha ~ 0.001,
+    # 1.95 sqrt(2 / 1200) = 0.0796
+    N, reps = 200, 1200
     rng = np.random.default_rng(123)
     U, _ = np.linalg.qr(rng.standard_normal((N, N)))
-    config, other = (_config(twopoint200, replicates=300, seed=s) for s in (44, 45))
-    rotated, plain = np.empty(300), np.empty(300)
-    for rep in range(300):
+    config, other = (_config(twopoint200, replicates=reps, seed=s) for s in (44, 45))
+    rotated, plain = np.empty(reps), np.empty(reps)
+    for rep in range(reps):
         X = ek.sample_data_matrix(config, rep)
         rotated[rep] = ek.top_eigenvalues(U @ X, twopoint200, 1)[0]
         plain[rep] = ek.top_eigenvalues(ek.sample_data_matrix(other, rep), twopoint200, 1)[0]
