@@ -52,7 +52,7 @@ def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
 
 
 def _observed_draw(config: EnsembleConfig) -> np.ndarray:
-    F = gaussian_factor(config, OBSERVED_STREAM)
+    F = gaussian_factor(config.spectrum, config.seed, OBSERVED_STREAM)
     return np.linalg.svd(F, compute_uv=False)[:3] ** 2
 
 

@@ -1,11 +1,12 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
-Every replicate's matrix is built here, in one of three forms: the Gram product
-of B = Sigma^{1/2} X by `gram`; for Gaussian entries, where only the spectrum
-is wanted, the reduced triangular factor of `gaussian_factor` (`detect` takes
-its singular values, every other caller its Gram by `factor_gram`); or, for a
-constant population, the Laguerre tridiagonal of `laguerre_tridiagonals`.
+Every replicate's matrix is built here.  A Gaussian replicate, wherever only its
+spectrum is wanted, is the reduced triangular factor F of `gaussian_factor`
+(`detect` takes its singular values, `simulate` its Gram by `factor_gram`, green
+its Gram by `gram`); other entry laws draw X, and `top_eigenvalues` takes the Gram
+of Sigma^{1/2} X by `gram`; `compare` draws a constant population as a Laguerre
+tridiagonal.
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
@@ -19,13 +20,13 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
     decoupling, resampled row r of base b            (seed, (b << 32) + r)
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
-count: on Linux the replicate engine, and `top_eigenvalues` outside it, pin
-every loaded OpenBLAS to one thread.
+count: on Linux the replicate engine pins every loaded OpenBLAS to one thread,
+and so do `covariance_replicate` and `top_eigenvalues`, which load scipy's.
 Within one map_replicates call each process reuses its dense arrays (the data
 matrix or the factor, its weighted copy, the Gram) from one replicate to the
 next, through `workspace`, and releases them when the call returns; every
 in-place step computes what its out-of-place form did, so outputs do not change.
-A Gaussian replicate of `covariance_replicate` draws no data matrix: X is
+A Gaussian replicate draws no data matrix: X is
 orthogonally invariant, so the factor of `gaussian_factor` has the singular
 values of Sigma^{1/2} X in law from far fewer variates (Rademacher and
 skewed-two-point entries lack that invariance and keep the dense X).
@@ -101,13 +102,11 @@ class EntryDistribution:
         return out
 
 
-GAUSSIAN = EntryDistribution()  # draws every Gaussian data matrix in edgekit, green's too
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     spectrum: PopulationSpectrum  # carries the dimensions M and N
-    entries: EntryDistribution = GAUSSIAN
+    entries: EntryDistribution = EntryDistribution()
     replicates: int = 100
     k: int = 1
     seed: int = 0
@@ -263,20 +262,11 @@ def sample_data_matrix(config: EnsembleConfig, replicate_index: int,
     return config.entries.sample(rng, config.spectrum.M, config.spectrum.N, out=out)
 
 
-def gram(X: np.ndarray, sig: np.ndarray, side: str, out: np.ndarray | None = None) -> np.ndarray:
-    """A Gram product of B = Sigma^{1/2} X, Sigma = diag(sig), written into out.
-
-    side "M" gives B B^T (M x M); side "N" gives B^T B = X^* Sigma X itself
-    (N x N), whose eigenvectors are those of Q.  The two share their nonzero
-    spectrum.  BLAS forms either by syrk, so it is exactly symmetric.  Without
-    out, the result goes into the workspace array "gram".
-    """
-    M, N = X.shape
-    n = M if side == "M" else N
-    if out is None:
-        out = workspace("gram", (n, n))
-    B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
-    return np.matmul(B, B.T, out=out) if side == "M" else np.matmul(B.T, B, out=out)
+def gram(B: np.ndarray) -> np.ndarray:
+    """B^T B in the workspace array "gram"; numpy forms it by BLAS syrk, so it is
+    exactly symmetric."""
+    n = B.shape[1]
+    return np.matmul(B.T, B, out=workspace("gram", (n, n)))
 
 
 def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.ndarray:
@@ -293,14 +283,14 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
         raise DomainRejectionError(f"spectrum has {sig.size} eigenvalues but X has {M} rows")
     if k > min(M, N):
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
-    n, side = min(M, N), "M" if M <= N else "N"
+    B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
+    narrow = B.T if M <= N else B  # B B^T for M <= N, else B^T B
     import scipy.linalg  # noqa: F401  (loaded first, so that the pin finds scipy's OpenBLAS)
 
     with _one_blas_thread():
         # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
         # symmetric, so A.T is that matrix and is solved in place
-        return _solve_top(gram(X, sig, side).T, k, True,
-                          lambda: gram(X, sig, side, out=np.empty((n, n))))
+        return _solve_top(gram(narrow).T, k, True, lambda: narrow.T @ narrow)
 
 
 def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
@@ -324,9 +314,11 @@ def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
     return vals[-k:][::-1].copy()
 
 
-def gaussian_factor(config: EnsembleConfig, rep: int, out: np.ndarray | None = None) -> np.ndarray:
-    """A reduced factor F, M x min(M, N), drawn from stream (config.seed, rep), whose
-    Gram F^T F has in law the nonzero spectrum of X^* Sigma X for Gaussian X.
+def gaussian_factor(spec: PopulationSpectrum, seed: int, index: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """A reduced factor F, M x min(M, N), drawn from stream (seed, index), whose Gram
+    F^T F has in law the nonzero spectrum of X^* Sigma X for Gaussian X, with
+    Sigma and the dimensions those of spec.
 
     Sort sigma descending (the row order leaves the law alone) and let row r
     (0-based) lie in the run [c, e) of equal sigma.  Row r of F is sqrt(sigma_r / N)
@@ -345,9 +337,9 @@ def gaussian_factor(config: EnsembleConfig, rep: int, out: np.ndarray | None = N
     ascending.  The top min(M, N) rows form a lower triangle.  Without out, F
     goes into the workspace array "factor".
     """
-    M, N = config.spectrum.M, config.spectrum.N
+    M, N = spec.M, spec.N
     n = min(M, N)
-    s = np.sort(config.spectrum.eigenvalues)[::-1]
+    s = np.sort(spec.eigenvalues)[::-1]
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     lengths = np.diff(np.r_[starts, M])
     c = np.repeat(starts, lengths)
@@ -356,7 +348,7 @@ def gaussian_factor(config: EnsembleConfig, rep: int, out: np.ndarray | None = N
     below = np.arange(1, min(M, N + 1))
     below = below[c[below] < below]  # the rows with a variate at (r, r - 1)
     F = workspace("factor", (M, n)) if out is None else out
-    rng = replicate_rng(config.seed, rep)
+    rng = replicate_rng(seed, index)
     normals = rng.standard_normal(out=workspace("normals", (int(heads.sum()),)))
     chi = np.sqrt(rng.chisquare(np.r_[N - np.arange(n), e[below] - below]))
     F.fill(0.0)
@@ -396,28 +388,23 @@ def covariance_replicate(args):
     """Top config.k eigenvalues of replicate rep of config, for args = (config, rep).
 
     Gaussian entries draw the factor of `gaussian_factor`; other entry laws draw
-    the data matrix X.
+    the data matrix X.  Either way the solve runs with every OpenBLAS, scipy's
+    too, on one thread.
     """
     config, rep = args
     spec = config.spectrum
-    if config.entries.kind == "gaussian":
-        def full():  # this replicate's Gram, from its factor drawn afresh
-            F = gaussian_factor(config, rep, out=np.empty((spec.M, min(spec.M, spec.N))))
-            return F.T @ F
+    if config.entries.kind != "gaussian":
+        X = sample_data_matrix(config, rep, out=workspace("X", (spec.M, spec.N)))
+        return top_eigenvalues(X, spec, config.k)
 
-        return _solve_top(factor_gram(gaussian_factor(config, rep)), config.k, False, full)
-    X = sample_data_matrix(config, rep, out=workspace("X", (spec.M, spec.N)))
-    return top_eigenvalues(X, spec, config.k)
+    def full():  # this replicate's Gram, from its factor drawn afresh
+        F = gaussian_factor(spec, config.seed, rep, out=np.empty((spec.M, min(spec.M, spec.N))))
+        return F.T @ F
 
+    import scipy.linalg  # noqa: F401  (loaded first, so that the pin finds scipy's OpenBLAS)
 
-def map_covariance_replicates(jobs: list, threads: int) -> list:
-    """map_replicates(covariance_replicate, jobs, threads), with scipy.linalg imported
-    first: forked workers inherit it, and the BLAS pin in map_replicates finds
-    scipy's OpenBLAS already loaded rather than loading it unpinned inside a job.
-    """
-    import scipy.linalg  # noqa: F401
-
-    return map_replicates(covariance_replicate, jobs, threads)
+    with _one_blas_thread():
+        return _solve_top(factor_gram(gaussian_factor(spec, config.seed, rep)), config.k, False, full)
 
 
 def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
@@ -430,7 +417,7 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
     if edge is None:
         edge = edge_params(config.spectrum, require_subcritical=True)
     jobs = [(config, r) for r in range(config.replicates)]
-    raw = np.array(map_covariance_replicates(jobs, threads))
+    raw = np.array(map_replicates(covariance_replicate, jobs, threads))
     return EdgeSamples(rows=rescale_edge(raw, edge, config.spectrum.N), raw=raw)
 
 

@@ -23,7 +23,7 @@ PASS / FAIL / INCONCLUSIVE.  Both read the same index-averaged (X3, X4)
 replicates, so `flow_checks` returns the two reports from one sample.
 
 The decoupling check resamples one row of X inside a frozen base: a rank-one
-change of X^* T X.  So each base is one job with one eigendecomposition, and
+change of X^* T X.  So each base is one job with one eigenvalue solve, and
 every resampled row follows from the one-row resolvent identity (the identity
 the decoupling expansion is built from) by O(N) spectral sums.
 
@@ -32,9 +32,10 @@ tridiagonal J (the beta = 1 Laguerre model, `ensemble.laguerre_tridiagonals`)
 and reads Tr (Q - z)^{-1} off the pivots of J - z: no dense matrix and no
 eigensolve.
 
-Every replicate's matrix, the Gram X^* T X of a real X or the tridiagonal J,
-comes from `ensemble`; this module forms neither.  Only `roman_green` forms
-its own product, since the linearization may hand it a complex X.
+Every replicate's matrix comes from `ensemble`.  A replicate is read through its
+spectrum alone, so in place of X it is the reduced factor of `gaussian_factor`
+(X is orthogonally invariant), solved for eigenvalues only.  Only `roman_green`
+forms its own product, since the linearization may hand it a complex X.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, GAUSSIAN, NULL_STREAM, gram,
-                       laguerre_tridiagonals, map_replicates, replicate_rng, workspace)
+from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_factor, gram,
+                       laguerre_tridiagonals, map_replicates, replicate_rng)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -237,11 +238,16 @@ def _avg_observables(tr1, tr2, tr3, tr4, N: int):
     return tr1 / N, X22, tr3 / N ** 3, tr4 / N ** 4, X22 ** 2
 
 
+def _gaussian_spectrum(spec: PopulationSpectrum, seed: int, index: int) -> np.ndarray:
+    """All N eigenvalues of the Gaussian replicate (seed, index) of spec: N - min(M, N)
+    zeros, then those of its reduced factor's Gram, ascending."""
+    lam = np.linalg.eigvalsh(gram(gaussian_factor(spec, seed, index)))
+    return np.concatenate([np.zeros(spec.N - lam.size), lam])
+
+
 def _x3_x4_worker(args):
     state, z, seed, rep = args
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
-                        out=workspace("X", (state.M, state.N)))
-    w = 1.0 / (np.linalg.eigvalsh(gram(X, state.t_alpha, "N")) - z)
+    w = 1.0 / (_gaussian_spectrum(state.as_population(), seed, rep) - z)
     m, X22, X33, X44, X44p = _avg_observables(w.sum(), (w ** 2).sum(), (w ** 3).sum(),
                                               (w ** 4).sum(), state.N)
     return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
@@ -349,16 +355,22 @@ def _decoupling_base(args):
     det(Q - z)/det(Q0 - z), Sherman-Morrison gives u = G x = G0 x / D, so
     u.u = s_2/D^2, and Tr G^k = sum_j g_j^k - (log D)^(k)/(k-1)! with
     D^(n) = t_alpha n! s_{n+1}.
+
+    Only (lam, v) is read.  lam is the spectrum of the Gaussian replicate of the
+    other M - 1 rows, from their reduced factor (N zeros when M = 1).  The fresh
+    row x ~ N(0, I/N) is independent of the base and rotation invariant, so v
+    has the law of x itself, independent of lam: each drawn row serves as v,
+    and neither X nor V is formed.
     """
     state, z, seed, base, per_base, alpha = args
     N = state.N
-    X = GAUSSIAN.sample(replicate_rng(seed, BASE_STREAM + base), state.M, N)  # frozen base
-    X[alpha, :] = 0.0
-    lam, V = np.linalg.eigh(gram(X, state.t_alpha, "N"))  # eigenvectors of X^* T X itself
-    rows = np.array([GAUSSIAN.sample(replicate_rng(seed, (base << 32) + r), 1, N)[0]
-                     for r in range(per_base)])
+    rest = np.sort(np.delete(state.t_alpha, alpha))[::-1]
+    lam = (_gaussian_spectrum(PopulationSpectrum(rest, state.M - 1, N), seed, BASE_STREAM + base)
+           if state.M > 1 else np.zeros(N))
+    v = np.array([replicate_rng(seed, (base << 32) + r).standard_normal(N)
+                  for r in range(per_base)]) / np.sqrt(N)
     g_pow = (1.0 / (lam - z))[:, None] ** np.arange(1, 6)  # (N, 5): g_j^p for p = 1..5
-    s = ((rows @ V) ** 2 @ g_pow).T                         # (5, per_base): s_1 .. s_5
+    s = (v ** 2 @ g_pow).T                                  # (5, per_base): s_1 .. s_5
     ta = state.t_alpha[alpha]
     D = 1.0 + ta * s[0]
     # r_n = D^(n) / D; the derivatives of log D by Faa di Bruno
@@ -393,18 +405,18 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
     Roman index.  leading is the magnitude of the order-Psi^2 term.
 
     Resampling row alpha is a rank-one change of X^* T X, so each frozen base
-    is one job: one eigendecomposition of the base with row alpha zeroed, then
-    every resampled row by the one-row resolvent identity, as one batched
-    matrix product and O(N) sums per row (see `_decoupling_base`).  A failure
-    names its base.
+    is one job: the eigenvalues of the base with row alpha zeroed, then every
+    resampled row by the one-row resolvent identity, as one batched matrix
+    product and O(N) sums per row (see `_decoupling_base`).  A failure names
+    its base.
 
     alpha is the most stable Greek branch (largest gap t_alpha^{-1} - tau),
     where the expansion parameter is smallest.
     """
     alpha = int(np.argmin(state.t_alpha))
     # between-base variance dominates the estimate, so spread the budget over
-    # many frozen configurations
-    bases = int(np.clip(reps // 25, 10, 80))
+    # many frozen configurations: ten rows a base, up to 200 bases
+    bases = int(np.clip(reps // 10, 10, 200))
     z = edge_window_z(state, eps)
     if eta_override is not None:
         z = complex(z.real, eta_override)
@@ -447,11 +459,9 @@ def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarra
 
 
 def _functional_worker(args):
-    """N int Im m of one replicate, by a dense eigensolve."""
+    """N int Im m of one replicate, from its eigenvalues."""
     state, xs, weights, eta, seed, rep = args
-    X = GAUSSIAN.sample(replicate_rng(seed, rep), state.M, state.N,
-                        out=workspace("X", (state.M, state.N)))
-    lam = np.linalg.eigvalsh(gram(X, state.t_alpha, "N"))
+    lam = _gaussian_spectrum(state.as_population(), seed, rep)
     vals = np.array([np.mean(1.0 / (lam - (x + state.L_plus_t + 1j * eta))).imag for x in xs])
     return state.N * np.dot(weights, vals)
 
@@ -480,8 +490,8 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     is drawn as the Laguerre tridiagonal J of Q, 2 min(M, N) - 1 chi-square
     draws per replicate, and Tr (J - z)^{-1} at every quadrature node comes from
     the pivot recurrence of J - z, for all replicates at once, in the calling
-    process.  Other populations draw X and eigensolve X^* T X through
-    `map_replicates`.
+    process.  Other populations draw the reduced factor of each replicate and
+    solve for its eigenvalues through `map_replicates`.
     """
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")

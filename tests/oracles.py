@@ -5,7 +5,8 @@ scipy's brentq, m(z) of one- and two-atom populations as polynomial roots,
 eigenvalues via characteristic polynomials or SVD, F1 via a determinant
 representation, the Painleve function via plain backward marching (valid
 right of s ~ -4), GOE edge eigenvalues via dense symmetric matrices,
-explicit index loops for the Green observables, a dense eigensolve per
+explicit index loops for the Green observables, dense X^* T X draws for the
+flow checks' (X3, X4) replicates, a dense eigensolve with eigenvectors per
 replicate for the decoupling check's rank-one updates, dense X^T X draws for
 the Laguerre tridiagonal model, dense Sigma^{1/2} X draws for the reduced
 Gaussian factor, and that factor rebuilt entry by entry from its draw order.  `null_reference_W` is not an oracle but
@@ -207,25 +208,49 @@ def loop_observables(G: np.ndarray, i: int, m: complex, tau: float):
     }
 
 
+def _x3_x4_of_spectrum(lam: np.ndarray, z: complex, tau: float):
+    """Index-averaged (X3, X4, X22) of a replicate with eigenvalues lam (all N of them)."""
+    N = lam.size
+    w = 1.0 / (lam - z)
+    mt = w.mean() + tau
+    X22, X33, X44 = (w ** 2).sum() / N ** 2, (w ** 3).sum() / N ** 3, (w ** 4).sum() / N ** 4
+    X3 = 2.0 * (mt * X22 + X33)
+    X4 = 3.0 * (mt ** 2 * X22 + 2.0 * mt * X33 + 4.0 * X44 + X22 ** 2)
+    return X3, X4, X22
+
+
+def dense_x3_x4(state, z: complex, seed: int, rep: int):
+    """(X3, X4) of one flow-check replicate from a dense Gaussian X (M x N, entries
+    N(0, 1/N)) drawn from stream (seed, rep), through every eigenvalue of X^* T X."""
+    from edgekit.ensemble import replicate_rng
+
+    X = replicate_rng(seed, rep).standard_normal((state.M, state.N)) / np.sqrt(state.N)
+    X3, X4, _ = _x3_x4_of_spectrum(np.linalg.eigvalsh((state.t_alpha[:, None] * X).T @ X), z,
+                                   state.tau_t)
+    return X3, X4
+
+
+def decoupling_triple(Q: np.ndarray, x: np.ndarray, ta: float, tau: float, z: complex):
+    """(lhs, rhs, c^2 X22) of one decoupling replicate Q (N x N) whose resampled row x
+    enters with weight ta: a dense eigensolve of Q with eigenvectors, u = G x built
+    from them."""
+    lam, V = np.linalg.eigh(Q)
+    X3, X4, X22 = _x3_x4_of_spectrum(lam, z, tau)
+    c = 1.0 / (1.0 / ta - tau)
+    u = V @ ((V.T @ x) / (lam - z))
+    return ta ** 2 * (u @ u) / lam.size, c ** 2 * X22 - c ** 3 * X3 + c ** 4 * X4, c ** 2 * X22
+
+
 def dense_decoupling_replicate(state, z: complex, seed: int, base: int, rep: int, alpha: int):
-    """(lhs, rhs, c^2 X22) of one decoupling replicate by a dense eigensolve of the
-    whole matrix: frozen base from (seed, 2^63 + 1000 + base), row alpha from
-    (seed, (base << 32) + rep), u = G x_alpha built from the eigenvectors."""
+    """`decoupling_triple` of one replicate drawn as a dense X: the frozen base from
+    (seed, 2^63 + 1000 + base), row alpha from (seed, (base << 32) + rep)."""
     from edgekit.ensemble import replicate_rng
 
     M, N = state.M, state.N
     X = replicate_rng(seed, 2 ** 63 + 1000 + base).standard_normal((M, N)) / np.sqrt(N)
-    X[alpha, :] = replicate_rng(seed, (base << 32) + rep).standard_normal((1, N))[0] / np.sqrt(N)
-    lam, V = np.linalg.eigh((state.t_alpha[:, None] * X).T @ X)
-    w = 1.0 / (lam - z)
-    mt = w.mean() + state.tau_t
-    X22, X33, X44 = (w ** 2).sum() / N ** 2, (w ** 3).sum() / N ** 3, (w ** 4).sum() / N ** 4
-    X3 = 2.0 * (mt * X22 + X33)
-    X4 = 3.0 * (mt ** 2 * X22 + 2.0 * mt * X33 + 4.0 * X44 + X22 ** 2)
-    ta = state.t_alpha[alpha]
-    c = 1.0 / (1.0 / ta - state.tau_t)
-    u = V @ (w * (V.T @ X[alpha, :]))
-    return ta ** 2 * (u @ u) / N, c ** 2 * X22 - c ** 3 * X3 + c ** 4 * X4, c ** 2 * X22
+    X[alpha, :] = replicate_rng(seed, (base << 32) + rep).standard_normal(N) / np.sqrt(N)
+    return decoupling_triple((state.t_alpha[:, None] * X).T @ X, X[alpha, :],
+                             state.t_alpha[alpha], state.tau_t, z)
 
 
 def inverse_transform_samples(grid: np.ndarray, cdf: np.ndarray, n: int, seed: int) -> np.ndarray:

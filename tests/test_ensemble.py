@@ -198,7 +198,7 @@ def test_blas_controls_found_once(monkeypatch):
 
 
 def _handing_out(monkeypatch, fill=None):
-    """Patch ensemble.workspace (and green's reference to it) to record each array it hands out."""
+    """Patch ensemble.workspace to record each array it hands out."""
     real, handed = ensemble.workspace, []
 
     def recording(name, shape):
@@ -209,7 +209,6 @@ def _handing_out(monkeypatch, fill=None):
         return arr
 
     monkeypatch.setattr(ensemble, "workspace", recording)
-    monkeypatch.setattr(green, "workspace", recording)
     return handed
 
 
@@ -297,7 +296,7 @@ def test_replicates_fault_in_no_memory():
 
     config = _config(ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), replicates=40, seed=6)
     jobs = [(config, r) for r in range(config.replicates)]
-    import scipy.linalg  # noqa: F401  (loaded before counting, as run_monte_carlo does)
+    import scipy.linalg  # noqa: F401  (loaded before counting, not by the first job)
 
     map_replicates(ensemble.covariance_replicate, jobs[:2], 1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -350,7 +349,7 @@ def _functions_containing(token: str) -> set:
     ("chisquare(", {"ensemble.sample_goe_top",                          # beta = 1 models
                     "ensemble.laguerre_tridiagonals", "ensemble.gaussian_factor"}),
     ("np.less(q, 0.0", {"ensemble.tridiagonal_top"}),                    # Sturm counts
-    ("[:, None], X", {"ensemble.gram"}),                                 # B = Sigma^{1/2} X
+    ("[:, None], X", {"ensemble.top_eigenvalues"}),                      # B = Sigma^{1/2} X
     ("dlauum(", {"ensemble.factor_gram"}),                               # F^T F of the factor
 ])
 def test_one_evaluator_per_quantity(token, owners):
@@ -594,7 +593,8 @@ def test_gaussian_replicates_match_dense_law(shape):
     spec, reps = ek.PopulationSpectrum(np.asarray(sig, dtype=float), len(sig), N), 2000
     n = min(spec.M, N)
     config = _config(spec, replicates=reps, k=n, seed=51)
-    mine = np.array(ensemble.map_covariance_replicates([(config, r) for r in range(reps)], 1))
+    mine = np.array(map_replicates(ensemble.covariance_replicate,
+                                   [(config, r) for r in range(reps)], 1))
     dense = dense_covariance_spectra(spec.eigenvalues, spec.M, N, reps, seed=52)[:, ::-1]
     stats = [ek.two_sample_ks(mine[:, i], dense[:, i]) for i in (0, 1, 2, n - 1)]
     assert max(stats) < 1.95 * np.sqrt(2.0 / reps)
@@ -607,7 +607,7 @@ def test_factor_gram_is_exact(shape):
     sig, N = _FACTOR_SHAPES[shape]
     spec = ek.PopulationSpectrum(np.asarray(sig, dtype=float), len(sig), N)
     unwritten = np.full((spec.M, min(spec.M, N)), np.nan)
-    F = ensemble.gaussian_factor(_config(spec, seed=8), 3, out=unwritten)
+    F = ensemble.gaussian_factor(spec, 8, 3, out=unwritten)
     assert np.array_equal(F, reduced_factor(spec.eigenvalues, N, 8, 3))
     want = F.T @ F
     A = ensemble.factor_gram(F.copy())

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from edgekit.ensemble import laguerre_tridiagonals, replicate_rng
 from edgekit.errors import DomainRejectionError
 from edgekit.green import edge_window_z, roman_green
 
-from oracles import dense_decoupling_replicate, loop_observables, null_reference_W
+from oracles import (decoupling_triple, dense_decoupling_replicate, dense_x3_x4,
+                     loop_observables, null_reference_W, reduced_factor)
 
 
 def _random_lin(rng, N, M, z):
@@ -134,8 +137,9 @@ def test_observable_ratios_definitional(twopoint200):
 
 
 def test_optical_identity_and_twopoint():
+    # identity at the CLI's budget: at 600 replicates its status varies with the seed
     spec = ek.identity_spectrum(200, 200)
-    report = ek.optical_residual(ek.flow_state(spec, 0.0), reps=600, seed=41)
+    report = ek.optical_residual(ek.flow_state(spec, 0.0), reps=2000, seed=41)
     assert report.status == "PASS"
     assert report.residual <= report.leading / 10.0
     tp = ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200)
@@ -179,33 +183,112 @@ def test_decoupling_far_regime_scale_collapse():
 
 # (spectrum, t, seed, base, eta_override); in the first case the base matrix
 # has an eigenvalue within eta of Re z, where Tr G^4 of the rank-one update
-# cancels most of the base's sum_j g_j^4
+# cancels most of the base's sum_j g_j^4; in the last the base is empty (M = 1)
 _RANK_ONE_CASES = [
-    (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 1, None),
+    (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 54, None),
     (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 2, None),
+    (ek.two_point_spectrum(1.0, 2.0, 0.5, 150, 200), 0.5, 17, 0, None),
     (ek.identity_spectrum(200, 200), 0.0, 51, 0, None),
     (ek.identity_spectrum(200, 200), 0.0, 51, 0, 1.0),
+    (ek.identity_spectrum(1, 20), 0.0, 51, 0, None),
 ]
 
 
 def test_decoupling_rank_one_matches_dense():
+    # each resampled row against a dense eigensolve of diag(lam) + t_alpha v v^T, with
+    # lam the base's spectrum rebuilt from its reduced factor, entry by entry, and v
+    # the row drawn from its stream
     per_base = 4
     for case, (spec, t, seed, base, eta) in enumerate(_RANK_ONE_CASES):
         state = ek.flow_state(spec, t)
-        alpha = int(np.argmin(state.t_alpha))
+        N, alpha = state.N, int(np.argmin(state.t_alpha))
         z = edge_window_z(state)
         if eta is not None:
             z = complex(z.real, eta)
         triples = green._decoupling_base((state, z, seed, base, per_base, alpha))
-        dense = np.array([dense_decoupling_replicate(state, z, seed, base, r, alpha)
-                          for r in range(per_base)])
+        lam = np.zeros(N)
+        if state.M > 1:
+            F = reduced_factor(np.delete(state.t_alpha, alpha), N, seed, 2 ** 63 + 1000 + base)
+            lam[N - F.shape[1]:] = np.linalg.eigvalsh(F.T @ F)
+        ta = state.t_alpha[alpha]
+        dense = []
+        for r in range(per_base):
+            v = replicate_rng(seed, (base << 32) + r).standard_normal(N) / np.sqrt(N)
+            dense.append(decoupling_triple(np.diag(lam) + ta * np.outer(v, v), v, ta,
+                                           state.tau_t, z))
         assert triples.shape == (per_base, 3)
-        assert np.max(np.abs(triples - dense) / np.abs(dense)) <= 1e-10, case
+        assert np.max(np.abs(triples - np.array(dense)) / np.abs(dense)) <= 1e-10, case
         if case == 0:
-            X = replicate_rng(seed, 2 ** 63 + 1000 + base).standard_normal((200, 200)) / np.sqrt(200)
-            X[alpha, :] = 0.0
-            lam = np.linalg.eigvalsh((state.t_alpha[:, None] * X).T @ X)
             assert np.min(np.abs(lam - z.real)) < z.imag
+
+
+# flow states of the law tests: wide, square and tall two-point populations (the
+# factor's Gram misses N - M zero eigenvalues for M < N) and a one-atom population.
+# The small sizes are the sharp ones: a decoupling base with one row too many, or
+# one too few, moves the law by O(1/N)
+_LAW_STATES = {
+    "twopoint-M=N": (ek.two_point_spectrum(1.0, 2.0, 0.5, 10, 10), 0.5),
+    "twopoint-M<N": (ek.two_point_spectrum(1.0, 2.0, 0.5, 6, 10), 0.5),
+    "twopoint-M>N": (ek.two_point_spectrum(1.0, 2.0, 0.5, 14, 10), 0.5),
+    "identity": (ek.identity_spectrum(10, 10), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAW_STATES))
+def test_x3_x4_replicates_match_dense_law(name):
+    # two-sample KS of the flow checks' Re X3 and Re X4, drawn from the reduced factor,
+    # against dense draws of X, at the 0.1% critical value
+    state, reps = ek.flow_state(*_LAW_STATES[name]), 2000
+    z = edge_window_z(state)
+    X3, X4 = green._mc_x3_x4(state, z, reps, seed=71)
+    dense = np.array([dense_x3_x4(state, z, 72, r) for r in range(reps)])
+    bound = 1.95 * np.sqrt(2.0 / reps)
+    assert ek.two_sample_ks(X3.real, dense[:, 0].real) < bound
+    assert ek.two_sample_ks(X4.real, dense[:, 1].real) < bound
+
+
+@pytest.mark.parametrize("name", ["twopoint-M=N", "twopoint-M<N", "identity"])
+def test_decoupling_bases_match_dense_law(name):
+    # two-sample KS of the per-base mean of lhs - rhs, the quantity the check averages,
+    # with the base's eigenvalues from the reduced factor and v drawn directly, against
+    # dense draws of the base and its eigenvectors, at the 0.1% critical value
+    state, bases, per_base = ek.flow_state(*_LAW_STATES[name]), 2000, 2
+    alpha, z = int(np.argmin(state.t_alpha)), edge_window_z(state)
+    mine = np.array([green._decoupling_base((state, z, 73, b, per_base, alpha))
+                     for b in range(bases)])
+    dense = np.array([[dense_decoupling_replicate(state, z, 74, b, r, alpha)
+                       for r in range(per_base)] for b in range(bases)])
+    mine, dense = [(a[:, :, 0] - a[:, :, 1]).mean(axis=1) for a in (mine, dense)]
+    bound = 1.95 * np.sqrt(2.0 / bases)
+    assert ek.two_sample_ks(mine.real, dense.real) < bound
+    assert ek.two_sample_ks(mine.imag, dense.imag) < bound
+
+
+def test_green_draws_no_dense_gaussian_matrix(monkeypatch):
+    # every Gaussian replicate in green is a reduced factor solved for its eigenvalues,
+    # or one resampled row: no eigenvectors, no M x N normal draw, no workspace array
+    text = Path(green.__file__).read_text()
+    assert "eigh(" not in text and "workspace(" not in text and ".sample(" not in text
+    sizes = []
+
+    class Recording:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, size=None, out=None):
+            sizes.append(np.size(out) if out is not None else int(np.prod(size)))
+            return self.rng.standard_normal(size, out=out)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(ensemble, "replicate_rng", lambda *key: Recording(replicate_rng(*key)))
+    monkeypatch.setattr(green, "replicate_rng", lambda *key: Recording(replicate_rng(*key)))
+    state = _twopoint_state(40)
+    ek.flow_checks(state, reps=4, seed=1)
+    ek.decoupling_residual(state, reps=20, seed=1)
+    _compare_window(40, 4, 1, 1)
+    assert sizes and max(sizes) < 40 * 40
 
 
 @pytest.mark.parametrize("state, reps", [
@@ -250,14 +333,17 @@ def test_threads_deterministic(name):
 # re-recorded when its null-reference draws moved from (seed + 1, r), the
 # replicate family of the next seed, to their own family (seed, 2^62 + r), and
 # again when those null draws (a constant population) moved to the Laguerre
-# tridiagonal model: new draws with the same law.  The Q-tilde mean is unchanged.
+# tridiagonal model: new draws with the same law.  All were re-recorded when
+# green's Gaussian replicates moved from a dense X to the reduced factor, and
+# decoupling bases to the (M - 1)-row factor with ten rows a base: new draws of
+# the same law again.  The null-reference mean, a constant population, is unchanged.
 _PINNED_REPORTS = {
-    "optical": (0.0029406705525280357, 0.03142326641605511, 0.0022060191427939065),
-    "cancellation": (0.010756481004424357, 0.5052076249421039, 0.00839127767137808),
-    "decoupling": (0.0001763087801670178, 0.009309952353021985, 0.0004122525692094617),
+    "optical": (0.000767014642152631, 0.038249510381815885, 0.002026607510245958),
+    "cancellation": (0.0026342751165514605, 0.5052076249421034, 0.006305024335550474),
+    "decoupling": (0.0001429740920702023, 0.01012828475411128, 0.0007311218535218216),
 }
-_PINNED_COMPARISON = (0.7711594210898148, 0.7424211815389078, 0.02873823955090704,
-                      0.04695767011096717)
+_PINNED_COMPARISON = (0.7405808935868902, 0.7424211815389078, -0.0018402879520176274,
+                      0.042007108464279956)
 
 
 def test_stream_layout_pinned():
