@@ -5,8 +5,8 @@ Every replicate's matrix is built here.  A Gaussian replicate, wherever only its
 spectrum is wanted, is the reduced triangular factor F of `gaussian_factor`
 (`detect` takes its singular values, `simulate` its Gram by `factor_gram`, green
 its Gram by `gram`); other entry laws draw X, and `top_eigenvalues` takes the Gram
-of Sigma^{1/2} X by `gram`; `compare` draws a constant population as a Laguerre
-tridiagonal.
+of Sigma^{1/2} X by `gram`; `compare` takes a constant population's Gram F^T F
+in tridiagonal form.
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
@@ -30,8 +30,9 @@ A Gaussian replicate draws no data matrix: X is
 orthogonally invariant, so the factor of `gaussian_factor` has the singular
 values of Sigma^{1/2} X in law from far fewer variates (Rademacher and
 skewed-two-point entries lack that invariance and keep the dense X).
-A constant population in `compare` needs no dense matrix: `laguerre_tridiagonals`
-draws the spectrum of X^* X in tridiagonal form for many streams at once.
+A constant population is one run, so its factor is bidiagonal and F^T F
+tridiagonal: `laguerre_tridiagonals` draws that tridiagonal for many streams at
+once, from the factor's variates, with no dense matrix.
 `tridiagonal_top` takes the top k of a batch of tridiagonals, such as the GOE
 null table's, by vectorized Sturm bisection.
 """
@@ -424,27 +425,24 @@ def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
 def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
     """(d, e), shapes (N, R) and (N - 1, R): column r holds the diagonal and the
     off-diagonal of an N x N symmetric tridiagonal matrix with the spectrum of
-    X^* X, for X an M x N matrix of independent N(0, 1/N) entries drawn from
-    stream (seed, indices[r]).  `compare` draws its constant-population halves
-    here.
+    X^* X, for X an M x N matrix of independent N(0, 1/N) entries: the
+    Gaussian replicate (seed, indices[r]) of the constant population.
+    `compare` draws its constant-population halves here.
 
-    The beta = 1 Laguerre model of Dumitriu & Edelman (2002), `sample_goe_top`'s
-    twin: Golub-Kahan bidiagonalization of the wide one of sqrt(N) X and its
-    transpose, n = min(M, N) rows by m = max(M, N), leaves a lower bidiagonal B
-    with independent entries, chi_{m-j+1} on the diagonal and chi_{n-j} below
-    it (j = 1..n), and B B^T / N has the nonzero spectrum of X^* X.  For M < N
-    the last N - M rows are zero: the zero eigenvalues of X^* X.  Costs
-    2 min(M, N) - 1 chi-square draws per matrix and no dense matrix.
+    The matrix is F^T F for that replicate's factor F of `gaussian_factor`,
+    lower bidiagonal for a population of one run: its chi-square variates are
+    drawn in the factor's order, and no dense F is formed.  For M < N the last
+    N - M rows are zero: the zero eigenvalues of X^* X.
     """
-    n, m = min(M, N), max(M, N)
+    n = min(M, N)
+    dof = np.r_[N - np.arange(n), M - np.arange(1, min(M, N + 1))]
     d, e = np.zeros((N, len(indices))), np.zeros((N - 1, len(indices)))
     for r, index in enumerate(indices):
-        rng = replicate_rng(seed, index)
-        diag2 = rng.chisquare(np.arange(m, m - n, -1))  # B_jj^2
-        sub2 = rng.chisquare(np.arange(n - 1, 0, -1))  # B_{j+1,j}^2
-        d[:n, r] = diag2
-        d[1:n, r] += sub2
-        e[:n - 1, r] = np.sqrt(diag2[:-1] * sub2)
+        chi2 = replicate_rng(seed, index).chisquare(dof)
+        a2, b2 = chi2[:n], chi2[n:]  # squares of F's diagonal and of its sub-diagonal
+        d[:n, r] = a2
+        d[:b2.size, r] += b2
+        e[:n - 1, r] = np.sqrt(a2[1:] * b2[:n - 1])
     d /= N
     e /= N
     return d, e

@@ -27,8 +27,8 @@ change of X^* T X.  So each base is one job with one eigenvalue solve, and
 every resampled row follows from the one-row resolvent identity (the identity
 the decoupling expansion is built from) by O(N) spectral sums.
 
-The comparison functional draws Q for a constant population T = cI as a
-tridiagonal J (the beta = 1 Laguerre model, `ensemble.laguerre_tridiagonals`)
+The comparison functional draws Q for a constant population T = cI as the
+tridiagonal J = c F^T F of the replicate's factor (`ensemble.laguerre_tridiagonals`)
 and reads Tr (Q - z)^{-1} off the pivots of J - z: no dense matrix and no
 eigensolve.
 
@@ -53,7 +53,6 @@ from .stieltjes import solve_mfc
 
 DEFAULT_EPS = 0.05
 _BOOTSTRAP = 1000
-_STATIONARY_REPS = 50  # replicates the cancellation check reads on an identity population
 _QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
 
 
@@ -259,11 +258,11 @@ def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int =
     return arr[:, 0], arr[:, 1]
 
 
-def _bootstrap_sd(stat, samples_tuple, seed: int, n_boot: int = _BOOTSTRAP) -> float:
+def _bootstrap_sd(stat, samples_tuple, seed: int) -> float:
     rng = replicate_rng(seed, BOOTSTRAP_STREAM)
     n = samples_tuple[0].shape[0]
-    vals = np.empty(n_boot)
-    for b in range(n_boot):
+    vals = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         idx = rng.integers(0, n, n)
         vals[b] = stat(*(s[idx] for s in samples_tuple))
     return float(np.std(vals))
@@ -304,7 +303,8 @@ def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS
     cancellation: the flow-weighted combination N * Im(B_3 X3 - B_4 X4) against
     its naive size M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude
     with no cancellation.  Identity populations have B_3 = B_4 = 0
-    identically, and their check reads only the first 50 replicates.
+    identically, and their check reads the combination itself, with no
+    bootstrap.
     """
     z = edge_window_z(state, eps)
     X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
@@ -322,12 +322,11 @@ def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS
     ci = _bootstrap_sd(optical_gap, (X3, X4), seed)
     optical = CheckReport("optical", state.N, state.t, leading, resid, ci,
                           _status(resid, ci, leading / 10.0))
+    actual = float(combination(X3, X4))
     if max(abs(B3), abs(B4)) < 1e-13:
         # an identity population: B_3 = B_4 = 0 up to solver noise, and so is the combination
-        actual = float(combination(X3[:_STATIONARY_REPS], X4[:_STATIONARY_REPS]))
         return optical, CheckReport("cancellation", state.N, state.t, 0.0, actual, 0.0,
                                     "PASS" if actual <= 1e-10 else "FAIL")
-    actual = float(combination(X3, X4))
     naive = float(state.M * control_parameter(state, z) ** 3 * (abs(B3) + abs(B4)))
     ci = _bootstrap_sd(combination, (X3, X4), seed)
     return optical, CheckReport("cancellation", state.N, state.t, naive, actual, ci,
@@ -394,7 +393,7 @@ _decoupling_base.job_name = "decoupling base"  # how map_replicates names a fail
 
 
 def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS,
-                        threads: int = 1, eta_override: float | None = None) -> CheckReport:
+                        threads: int = 1) -> CheckReport:
     """Partial-expectation test of the decoupling expansion at one Greek index.
 
     E_alpha is estimated by resampling row alpha of X while freezing every
@@ -418,8 +417,6 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
     # many frozen configurations: ten rows a base, up to 200 bases
     bases = int(np.clip(reps // 10, 10, 200))
     z = edge_window_z(state, eps)
-    if eta_override is not None:
-        z = complex(z.real, eta_override)
     per_base = max(1, reps // bases)
     jobs = [(state, z, seed, b, per_base, alpha) for b in range(bases)]
     arr = np.array(map_replicates(_decoupling_base, jobs, threads))
@@ -487,10 +484,10 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     bootstrap error bar (the smooth-function comparison at F = identity).
 
     A constant population (the null reference always; both halves on identity)
-    is drawn as the Laguerre tridiagonal J of Q, 2 min(M, N) - 1 chi-square
-    draws per replicate, and Tr (J - z)^{-1} at every quadrature node comes from
-    the pivot recurrence of J - z, for all replicates at once, in the calling
-    process.  Other populations draw the reduced factor of each replicate and
+    is drawn as the tridiagonal J of Q from its factor's chi-square variates
+    alone, and Tr (J - z)^{-1} at every quadrature node comes from the pivot
+    recurrence of J - z, for all replicates at once, in the calling process.
+    Other populations draw the reduced factor of each replicate and
     solve for its eigenvalues through `map_replicates`.
     """
     if E1 > E2:

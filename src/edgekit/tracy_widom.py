@@ -231,10 +231,11 @@ def tw_table(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.01,
     return _tabulate(grid, sol)
 
 
-def airy_kernel_f2(s: float, n_nodes: int = 60, upper: float = 12.0) -> float:
+def airy_kernel_f2(s: float) -> float:
     """Independent F2 oracle: Nystrom discretization of det(I - K_Ai) on L^2(s, inf)."""
     from scipy.special import airy
 
+    n_nodes, upper = 60, 12.0  # Gauss-Legendre nodes on (s, upper)
     u, w = np.polynomial.legendre.leggauss(n_nodes)
     x = 0.5 * (u + 1.0) * (upper - s) + s
     ww = 0.5 * (upper - s) * w

@@ -472,6 +472,21 @@ def _laguerre_rows(M, N, reps, seed):
     return ensemble.laguerre_tridiagonals(M, N, seed, range(reps))
 
 
+@pytest.mark.parametrize("M, N", [(12, 20), (20, 20), (30, 20), (1, 20), (20, 1)],
+                         ids=["M<N", "M=N", "M>N", "M=1", "N=1"])
+def test_laguerre_tridiagonal_is_factor_gram(M, N):
+    # stream (seed, i) gives the tridiagonal F^T F of the reduced factor F of the
+    # constant population's Gaussian replicate (seed, i), with N - min(M, N) zero rows
+    for i in (0, 5, 2 ** 62 + 3):
+        d, e = ensemble.laguerre_tridiagonals(M, N, 9, [i])
+        F = reduced_factor(np.ones(M), N, 9, i)
+        n = F.shape[1]
+        want = np.zeros((N, N))
+        want[:n, :n] = F.T @ F
+        got = np.diag(d[:, 0]) + np.diag(e[:, 0], 1) + np.diag(e[:, 0], -1)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(want), i
+
+
 def _goe_rows(N, reps, seed):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((N, reps)) * np.sqrt(2.0 / N),
@@ -532,7 +547,7 @@ def _gap_ratio(tops):
 
 @pytest.mark.parametrize("M, N", [(6, 10), (10, 10), (15, 10)], ids=["M<N", "M=N", "M>N"])
 def test_laguerre_top3_matches_dense(M, N):
-    # two-sample KS of detect's constant-population draw (Laguerre tridiagonal, top 3
+    # two-sample KS of the constant-population draw (Laguerre tridiagonal, top 3
     # by tridiagonal_top) against dense draws of X^T X, for each of the top three
     # eigenvalues and for the gap ratio R, at the 0.1% critical value
     reps = 2000

@@ -177,13 +177,14 @@ def test_decoupling_far_regime_scale_collapse():
     # carries no accuracy guarantee out there
     state = ek.flow_state(ek.identity_spectrum(200, 200), 0.0)
     edge = ek.decoupling_residual(state, reps=200, seed=51)
-    far = ek.decoupling_residual(state, reps=200, seed=51, eta_override=1.0)
+    far = ek.decoupling_residual(state, reps=200, seed=51, eps=-2.0 / 3.0)  # eta = N^0 = 1
     assert far.leading < edge.leading / 3.0
 
 
-# (spectrum, t, seed, base, eta_override); in the first case the base matrix
-# has an eigenvalue within eta of Re z, where Tr G^4 of the rank-one update
-# cancels most of the base's sum_j g_j^4; in the last the base is empty (M = 1)
+# (spectrum, t, seed, base, eta), with eta None for the edge window's; in the first
+# case the base matrix has an eigenvalue within eta of Re z, where Tr G^4 of the
+# rank-one update cancels most of the base's sum_j g_j^4; in the last the base is
+# empty (M = 1)
 _RANK_ONE_CASES = [
     (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 54, None),
     (ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5, 17, 2, None),
@@ -293,7 +294,7 @@ def test_green_draws_no_dense_gaussian_matrix(monkeypatch):
 
 @pytest.mark.parametrize("state, reps", [
     (ek.flow_state(ek.two_point_spectrum(1.0, 2.0, 0.5, 60, 60), 0.5), 40),
-    (ek.flow_state(ek.identity_spectrum(60, 60), 0.5), 80),  # stationary: reads 50 of 80
+    (ek.flow_state(ek.identity_spectrum(60, 60), 0.5), 80),  # stationary: no bootstrap
 ], ids=["twopoint", "identity"])
 def test_flow_checks_equal_separate_checks(state, reps):
     optical, cancellation = ek.flow_checks(state, reps=reps, seed=5)
