@@ -5,7 +5,10 @@ location and scaling factor drop out under the null hypothesis; its null law
 is approximated by GOE top-3 simulation at the requested N.  Pivotality is
 only asymptotic, so a table belongs to one N.  Tables are rebuilt on every
 call, never read from disk, so the output depends only on the flags: a few
-thousand tridiagonal GOE draws go through one vectorized Sturm bisection.
+thousand tridiagonal GOE draws go through one vectorized Sturm bisection
+(`ensemble.tridiagonal_top`), which halves on the leading ~16 N^{1/3} rows of
+each draw and certifies the result with one count over all N rows, so the
+table is that of the full matrices, bit for bit.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import functools
 import gc
 import os
 import sys
@@ -348,7 +349,7 @@ def _functions_containing(token: str) -> set:
                         "green.verify_schur"}),
     ("chisquare(", {"ensemble.sample_goe_top",                          # beta = 1 models
                     "ensemble.laguerre_tridiagonals", "ensemble.gaussian_factor"}),
-    ("np.less(q, 0.0", {"ensemble.tridiagonal_top"}),                    # Sturm counts
+    ("np.less(q, 0.0", {"ensemble._negative_pivots"}),                   # Sturm counts
     ("[:, None], X", {"ensemble.top_eigenvalues"}),                      # B = Sigma^{1/2} X
     ("dlauum(", {"ensemble.factor_gram"}),                               # F^T F of the factor
 ])
@@ -530,6 +531,36 @@ def test_tridiagonal_top_matches_eigvalsh(case):
                                   top[r, :k])
 
 
+def _defeated_block():
+    # a diagonal entry of 10 at row 300, below the leading block, in every other
+    # column: those columns' top eigenvalue (about 10.05) is not the block's
+    d, e = _goe_rows(400, 4, 7)
+    d[300, ::2] = 10.0
+    return d, e
+
+
+_LEADING_BLOCK_CASES = {
+    **{f"goe-{N}": functools.partial(_goe_rows, N, 4, N) for N in (50, 200, 400)},
+    **{f"laguerre-{N}": functools.partial(_laguerre_rows, N, N, 4, N) for N in (50, 200, 400)},
+    "defeated-400": _defeated_block,
+}
+
+
+@pytest.mark.parametrize("case", list(_LEADING_BLOCK_CASES))
+def test_tridiagonal_top_leading_block_is_certified(case):
+    # the top 3 come from the leading rows' bisection where one count over all rows
+    # certifies it, and from all rows elsewhere: either way they are the full matrix's
+    d, e = _LEADING_BLOCK_CASES[case]()
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        top = ensemble.tridiagonal_top(d, e, 3)
+    for r in range(d.shape[1]):
+        dense = np.diag(d[:, r]) + np.diag(e[:, r], 1) + np.diag(e[:, r], -1)
+        exact = np.linalg.eigvalsh(dense)[::-1][:3]
+        assert np.all(np.abs(top[r] - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact))), r
+        assert np.array_equal(ensemble.tridiagonal_top(d[:, r:r + 1], e[:, r:r + 1], 3)[0], top[r])
+    assert np.array_equal(ensemble.tridiagonal_top(d, e, d.shape[0])[:, :3], top)
+
+
 def test_tridiagonal_top_rejects_and_names_the_row():
     d, e = _goe_rows(10, 3, 5)
     with pytest.raises(DomainRejectionError):
@@ -537,6 +568,10 @@ def test_tridiagonal_top_rejects_and_names_the_row():
     with pytest.raises(DomainRejectionError):
         ensemble.tridiagonal_top(d, e[:, :2], 1)
     d[4, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="row 1:"):
+        ensemble.tridiagonal_top(d, e, 2)
+    d, e = _goe_rows(200, 3, 5)
+    d[150, 1] = np.nan  # below the leading block: row 1 is bisected again on all rows
     with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError, match="row 1:"):
         ensemble.tridiagonal_top(d, e, 2)
 
