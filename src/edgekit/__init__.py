@@ -5,8 +5,7 @@ from .population import (EdgeParams, PopulationSpectrum, check_subcritical, edge
                          edge_params, identity_spectrum, load_spectrum, parse_descriptor,
                          scaling_factor, solve_xi_plus, two_point_spectrum, uniform_spectrum)
 from .stieltjes import DensityCurve, StieltjesValue, density, edge_exponent_probe, mp_reference, solve_mfc
-from .tracy_widom import (PainleveSolution, TWTable, airy_kernel_f2, cached_tw_table,
-                          hastings_mcleod, tw_cdf, tw_table)
+from .tracy_widom import PainleveSolution, TWTable, airy_kernel_f2, hastings_mcleod, tw_cdf, tw_table
 from .ensemble import (EdgeSamples, EnsembleConfig, EntryDistribution, KsReport, ks_statistic,
                        rescale_edge, run_monte_carlo, sample_data_matrix, sample_goe_top,
                        smoothed_count, top_eigenvalues, two_sample_ks)

@@ -274,7 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=100)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--entries", default="gaussian", choices=ENTRY_KINDS)
-    p.add_argument("--ks", action="store_true", help="emit a KS report against the cached F1 table")
+    p.add_argument("--ks", action="store_true", help="emit a KS report against the Tracy-Widom F1 table")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -65,28 +65,20 @@ OBSERVED_STREAM = 2 ** 63 + 2
 BASE_STREAM = 2 ** 63 + 1000
 
 
+# skewed-two-point: the weight of the positive atom sqrt((1 - p) / p); the other
+# atom, -sqrt(p / (1 - p)), makes the law mean 0, variance 1
+SKEWED_WEIGHT = 0.8
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """Law of sqrt(N) x_ij: mean 0, variance 1, subexponential tail."""
 
     kind: str = "gaussian"
-    p: float = 0.8                 # skewed-two-point only: weight of the positive atom
 
     def __post_init__(self):
         if self.kind not in ENTRY_KINDS:
             raise DomainRejectionError(f"unknown entry distribution {self.kind!r}")
-        mean, var = self.closed_form_moments()
-        if abs(mean) > 1e-14 or abs(var - 1.0) > 1e-14:
-            raise DomainRejectionError(f"entry law must be standardized, got mean={mean}, var={var}")
-
-    def closed_form_moments(self):
-        if self.kind in ("gaussian", "rademacher"):
-            return 0.0, 1.0
-        if not (0.0 < self.p < 1.0):
-            raise DomainRejectionError("skewed-two-point weight must lie in (0, 1)")
-        a = np.sqrt((1.0 - self.p) / self.p)
-        b = -np.sqrt(self.p / (1.0 - self.p))
-        return self.p * a + (1.0 - self.p) * b, self.p * a * a + (1.0 - self.p) * b * b
 
     def sample(self, rng: np.random.Generator, M: int, N: int,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -99,9 +91,9 @@ class EntryDistribution:
             np.multiply(rng.integers(0, 2, size=(M, N)), 2.0, out=out)
             out -= 1.0
         else:
-            a = np.sqrt((1.0 - self.p) / self.p)
-            b = -np.sqrt(self.p / (1.0 - self.p))
-            np.copyto(out, np.where(rng.random((M, N)) < self.p, a, b))
+            p = SKEWED_WEIGHT
+            atoms = np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p))
+            np.copyto(out, np.where(rng.random((M, N)) < p, *atoms))
         out /= np.sqrt(N)
         return out
 
@@ -253,6 +245,9 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
         with _one_blas_thread():
             if workers <= 1:
                 return [run(job) for job in enumerate(jobs)]
+            # imported before the fork, so the workers share its pages, and those
+            # of the OpenSSL it loads through `secrets`, instead of each loading them
+            import numpy.random  # noqa: F401
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunksize = max(1, len(jobs) // (8 * workers))
                 return list(pool.map(run, enumerate(jobs), chunksize=chunksize))

@@ -42,7 +42,7 @@ class FlowState:
     tau_t: float
     L_plus_t: float
     gamma_dot_t: float
-    A: dict = field(repr=False)  # {k: A_k} for k = 2..6
+    A: dict = field(repr=False)  # {k: A_k} for k = 2..4
 
     def sum_rule_residuals(self):
         r1 = abs(self.A[2] - self.tau_t ** -2)
@@ -82,7 +82,7 @@ def flow_state(spec: PopulationSpectrum, t: float) -> FlowState:
     t_alpha = gamma * sig_t
     inv_gap = 1.0 / (1.0 / t_alpha - tau)
     N = spec.N
-    A = {k: float(np.sum(inv_gap ** k)) / N for k in range(2, 7)}
+    A = {k: float(np.sum(inv_gap ** k)) / N for k in range(2, 5)}
     L_plus = 1.0 / tau + float(np.sum(inv_gap)) / N
     gamma_dot = tau ** -4 * A[3] + tau ** -3 * A[4] - gamma
     return FlowState(t=t, N=spec.N, M=spec.M, sigma_t=sig_t, t_alpha=t_alpha,

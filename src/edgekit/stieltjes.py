@@ -34,6 +34,9 @@ _NEWTON_STEPS = 100  # per eta rung
 _HALVINGS = 40       # step halvings per Newton step
 _RUNG_TOL = 1e-3     # residual at which an intermediate eta rung hands over
 _EPS = np.finfo(float).eps
+_PROBE_WINDOW = (1e-4, 1e-2)  # edge_exponent_probe: the span of E_plus - E,
+_PROBE_POINTS = 24            # its geometric grid size,
+_PROBE_ETA0 = 1e-8            # and the eta0 of its density
 
 
 @dataclass(frozen=True)
@@ -240,9 +243,7 @@ def density(spec: PopulationSpectrum, grid, eta0: float = 1e-6,
     return DensityCurve(E=grid, rho=rho, eta0=eta0)
 
 
-def edge_exponent_probe(spec: PopulationSpectrum, edge: EdgeParams,
-                        window: tuple = (1e-4, 1e-2), n_points: int = 24,
-                        eta0: float = 1e-8):
+def edge_exponent_probe(spec: PopulationSpectrum, edge: EdgeParams):
     """Least-squares fit of log rho against log(E_plus - E) just inside the edge.
 
     Returns (exponent, amplitude) with rho(E) ~ amplitude * (E_plus - E)^exponent;
@@ -251,10 +252,10 @@ def edge_exponent_probe(spec: PopulationSpectrum, edge: EdgeParams,
     """
     if edge.margin <= 0:
         raise DomainRejectionError("edge exponent probe needs a subcritical spectrum")
-    lo, hi = window
+    lo, hi = _PROBE_WINDOW
     for attempt in range(2):
-        kappa = np.geomspace(lo, hi, n_points)
-        curve = density(spec, edge.E_plus - kappa, eta0=eta0)
+        kappa = np.geomspace(lo, hi, _PROBE_POINTS)
+        curve = density(spec, edge.E_plus - kappa, eta0=_PROBE_ETA0)
         rho = curve.rho
         if np.all(rho > 0) and not np.any(np.isnan(rho)):
             slope, logc = np.polyfit(np.log(kappa), np.log(rho), 1)

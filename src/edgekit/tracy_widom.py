@@ -24,11 +24,8 @@ F2(s) = det(I - K_Ai) on L^2(s, inf), discretized by Gauss-Legendre Nystrom.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -73,12 +70,6 @@ class TWTable:
                   for s, a, b in zip(self.grid, self.F1, self.F2)]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-
-    @staticmethod
-    def from_csv(path) -> "TWTable":
-        rows = Path(path).read_text().strip().splitlines()[1:]
-        data = np.array([[float(v) for v in row.split(",")] for row in rows])
-        return TWTable(grid=data[:, 0], F1=data[:, 1], F2=data[:, 2])
 
 
 def _left_asymptote(s):
@@ -249,19 +240,12 @@ def airy_kernel_f2(s: float) -> float:
     return float(np.linalg.det(np.eye(n_nodes) - A))
 
 
-def cache_dir() -> Path:
-    root = os.environ.get("EDGEKIT_CACHE")
-    path = Path(root) if root else Path.home() / ".cache" / "edgekit"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cached_tw_table(s_min: float = -10.0, s_max: float = 6.0, step: float = 0.01) -> TWTable:
-    """Disk-cached table, keyed by the grid specification hash."""
-    key = hashlib.sha256(f"tw:{s_min!r}:{s_max!r}:{step!r}".encode()).hexdigest()[:16]
-    path = cache_dir() / f"tw_table_{key}.csv"
-    if path.exists():
-        return TWTable.from_csv(path)
-    table = tw_table(s_min, s_max, step)
-    table.to_csv(path)
-    return table
+    """`tw_table(s_min, s_max, step)`: it reads and writes no file.
+
+    The name stays only because perfbench's trace pass times it; the benchmark
+    change that drops that trace target (ROADMAP item 1) deletes it.  It is a
+    function, not an alias of `tw_table`, because the trace pass patches by
+    object identity and restores in order: an alias would keep a wrapper.
+    """
+    return tw_table(s_min, s_max, step)

@@ -1,8 +1,3 @@
-import os
-import tempfile
-
-os.environ.setdefault("EDGEKIT_CACHE", tempfile.mkdtemp(prefix="edgekit-test-cache-"))
-
 import pytest
 
 import edgekit as ek

@@ -266,16 +266,13 @@ _CHILD_PYTHONPATH = os.pathsep.join(
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
 
 
-def _run_cli(args, cwd, cache):
-    env = {"EDGEKIT_CACHE": str(cache), "PATH": "/usr/bin:/bin", "HOME": str(cwd),
-           "PYTHONPATH": _CHILD_PYTHONPATH}
+def _run_cli(args, cwd):
+    env = {"PATH": "/usr/bin:/bin", "HOME": str(cwd), "PYTHONPATH": _CHILD_PYTHONPATH}
     return subprocess.run([sys.executable, "-m", "edgekit.cli", *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_c11_cli_determinism(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
     manifest = [{"check": "optical", "spectrum": "identity:M=80,N=80", "t": 0.0,
                  "reps": 120, "seed": 3}]
     (tmp_path / "checks.json").write_text(json.dumps(manifest))
@@ -300,9 +297,9 @@ def test_c11_cli_determinism(capsys, tmp_path):
             # identical invocation (same relative --out) from separate work dirs
             cwd = tmp_path / f"{name}_{run}"
             cwd.mkdir()
-            proc = _run_cli(args + ["--threads", threads, "--out", "out"], cwd, cache) \
+            proc = _run_cli(args + ["--threads", threads, "--out", "out"], cwd) \
                 if name not in ("edge", "density", "tw-table") else \
-                _run_cli(args + ["--out", "out"], cwd, cache)
+                _run_cli(args + ["--out", "out"], cwd)
             assert proc.returncode == 0, f"{name}: {proc.stderr}"
             outputs.append({p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())})
         if outputs[0] != outputs[1]:

@@ -18,26 +18,18 @@ _CHILD_PYTHONPATH = os.pathsep.join(
     + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
 
 
-def _child_env(cache, cwd):
-    return {"EDGEKIT_CACHE": str(cache), "PATH": "/usr/bin:/bin", "HOME": str(cwd),
-            "PYTHONPATH": _CHILD_PYTHONPATH}
+def _child_env(cwd, home=None):
+    return {"PATH": "/usr/bin:/bin", "HOME": str(home or cwd), "PYTHONPATH": _CHILD_PYTHONPATH}
 
 
-def run_cli(args, cache, cwd, **env):
+def run_cli(args, cwd, home=None, **env):
     return subprocess.run([sys.executable, "-m", "edgekit.cli", *args], capture_output=True,
-                          text=True, cwd=cwd, env=dict(_child_env(cache, cwd), **env))
+                          text=True, cwd=cwd, env=dict(_child_env(cwd, home), **env))
 
 
-@pytest.fixture()
-def workspace(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    return tmp_path, cache
-
-
-def test_edge_identity(workspace):
-    cwd, cache = workspace
-    proc = run_cli(["edge", "--spectrum", "identity:M=100,N=100", "--out", "out"], cache, cwd)
+def test_edge_identity(tmp_path):
+    cwd = tmp_path
+    proc = run_cli(["edge", "--spectrum", "identity:M=100,N=100", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["E_plus"] == pytest.approx(4.0, abs=1e-10)
@@ -45,43 +37,43 @@ def test_edge_identity(workspace):
     assert (cwd / "out" / "manifest.json").exists()
 
 
-def test_edge_from_file_and_supercritical_exit(workspace):
-    cwd, cache = workspace
+def test_edge_from_file_and_supercritical_exit(tmp_path):
+    cwd = tmp_path
     spec = two_point_spectrum(1.0, 2.0, 0.5, 50, 50)
     write_spectrum(spec, cwd / "spec.txt")
-    proc = run_cli(["edge", "--spectrum", "spec.txt", "--out", "out"], cache, cwd)
+    proc = run_cli(["edge", "--spectrum", "spec.txt", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["xi_plus"] == pytest.approx(0.28771294387, abs=1e-9)
     # near-critical margin with an explicit workflow threshold: domain rejection
-    proc2 = run_cli(["edge", "--spectrum", "spec.txt", "--margin-threshold", "0.9", "--out", "out2"], cache, cwd)
+    proc2 = run_cli(["edge", "--spectrum", "spec.txt", "--margin-threshold", "0.9", "--out", "out2"], cwd)
     assert proc2.returncode == 2, proc2.stderr
 
 
-def test_usage_error_exit_code(workspace):
-    cwd, cache = workspace
+def test_usage_error_exit_code(tmp_path):
+    cwd = tmp_path
     # an import failure also exits with 1, so check that argparse reported it
     for args in (["edge"], ["nonsense-command"]):
-        proc = run_cli(args, cache, cwd)
+        proc = run_cli(args, cwd)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage: edgekit"), proc.stderr
         assert "error:" in proc.stderr, proc.stderr
 
 
-def test_cli_import_does_not_load_scipy(workspace):
+def test_cli_import_does_not_load_scipy(tmp_path):
     # every command pays for the CLI's imports; scipy loads only where a command uses it
-    cwd, cache = workspace
+    cwd = tmp_path
     code = "import sys, edgekit.cli; print('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=cwd, env=_child_env(cache, cwd))
+                          cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-def test_green_commands_do_not_load_scipy(workspace):
+def test_green_commands_do_not_load_scipy(tmp_path):
     # scipy's OpenBLAS would add ~20 MB to every green process: compare (factor and
     # Laguerre halves) and all four flow checks run on numpy alone.  At 20 replicates a
     # check may read FAIL, so flow-verify may exit 4, but it still writes four reports
-    cwd, cache = workspace
+    cwd = tmp_path
     (cwd / "checks.json").write_text(json.dumps([
         {"check": "sum_rules", "spectrum": "twopoint:a=1,b=2,w=0.5,M=30,N=30", "t": 0.5},
         {"check": "optical", "spectrum": "twopoint:a=1,b=2,w=0.5,M=30,N=30", "reps": 20},
@@ -95,37 +87,37 @@ def test_green_commands_do_not_load_scipy(workspace):
             f"for i, argv in enumerate({runs!r})]; "
             "print(codes, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=cwd, env=_child_env(cache, cwd))
+                          cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
     codes, scipy_loaded = proc.stdout.strip().splitlines()[-1].rsplit(" ", 1)
     assert codes in ("[0, 0, 0]", "[0, 0, 4]") and scipy_loaded == "False", proc.stdout
     assert len(json.loads((cwd / "out2" / "flow_verify.json").read_text())) == 4
 
 
-def test_tracy_widom_tables_do_not_load_scipy(workspace):
+def test_tracy_widom_tables_do_not_load_scipy(tmp_path):
     # the Hastings-McLeod solve and the F1/F2 tabulation run on numpy alone
-    cwd, cache = workspace
+    cwd = tmp_path
     code = ("import sys, edgekit as ek; from edgekit import cli; "
             "code = cli.main(['tw-table', '--step', '0.05', '--out', 'tw']); "
             "table = ek.tw_table(); f1 = ek.tw_cdf(1, -1.0, ek.hastings_mcleod()); "
             "print(code, table.grid.size, 0.0 < f1 < 1.0, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=cwd, env=_child_env(cache, cwd))
+                          cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 1601 True False", proc.stdout
 
 
-def test_simulate_ks_loads_no_scipy_solvers(workspace):
+def test_simulate_ks_loads_no_scipy_solvers(tmp_path):
     # the replicates need scipy.linalg; the Tracy-Widom reference needs none of
     # the solver packages that scipy.integrate would pull in
-    cwd, cache = workspace
+    cwd = tmp_path
     code = ("import sys; from edgekit import cli; "
             "code = cli.main(['simulate', '--spectrum', 'identity:M=40,N=40', '--reps', '20', "
             "'--threads', '1', '--ks', '--out', 'out']); "
             "print(code, sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
             "'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=cwd, env=_child_env(cache, cwd))
+                          cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []", proc.stdout
 
@@ -144,72 +136,71 @@ def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
                    f"first at E = {', '.join(failed[:5])}, ...\n")
 
 
-def test_simulate_byte_identical_across_threads(workspace):
-    cwd, cache = workspace
+def test_simulate_byte_identical_across_threads(tmp_path):
+    cwd = tmp_path
     base = ["simulate", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=120,N=120",
             "--reps", "40", "--k", "2", "--seed", "7"]
     for out, threads in (("s1", "1"), ("s2", "2"), ("s3", "1")):
-        proc = run_cli(base + ["--threads", threads, "--out", out], cache, cwd)
+        proc = run_cli(base + ["--threads", threads, "--out", out], cwd)
         assert proc.returncode == 0, proc.stderr
     b1 = (cwd / "s1" / "samples.csv").read_bytes()
     assert b1 == (cwd / "s2" / "samples.csv").read_bytes()
     assert b1 == (cwd / "s3" / "samples.csv").read_bytes()
 
 
-def test_simulate_byte_identical_across_blas_threads(workspace):
+def test_simulate_byte_identical_across_blas_threads(tmp_path):
     # at N=400 OpenBLAS splits the Gram and the eigensolve when it may use two threads
-    cwd, cache = workspace
+    cwd = tmp_path
     base = ["simulate", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=400,N=400",
             "--reps", "20", "--k", "2", "--seed", "7"]
     outputs = []
     for blas in ("1", "2"):
         for threads in ("1", "2"):
             out = f"blas{blas}_threads{threads}"
-            proc = run_cli(base + ["--threads", threads, "--out", out], cache, cwd,
+            proc = run_cli(base + ["--threads", threads, "--out", out], cwd,
                            OPENBLAS_NUM_THREADS=blas)
             assert proc.returncode == 0, proc.stderr
             outputs.append((cwd / out / "samples.csv").read_bytes())
     assert all(b == outputs[0] for b in outputs[1:])
 
 
-def test_simulate_with_ks_uses_cached_table(workspace):
-    cwd, cache = workspace
+def test_simulate_with_ks_writes_report(tmp_path):
+    cwd = tmp_path
     proc = run_cli(["simulate", "--spectrum", "identity:M=150,N=150", "--reps", "60",
-                    "--seed", "3", "--threads", "1", "--ks", "--out", "out"], cache, cwd)
+                    "--seed", "3", "--threads", "1", "--ks", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     report = json.loads((cwd / "out" / "ks.json").read_text())
     assert report["n"] == 60
     assert 0.0 <= report["statistic"] <= 1.0
-    assert list(cache.glob("tw_table_*.csv"))
 
 
-def test_density_csv(workspace):
-    cwd, cache = workspace
+def test_density_csv(tmp_path):
+    cwd = tmp_path
     proc = run_cli(["density", "--spectrum", "identity:M=80,N=80", "--emin", "0.5",
-                    "--emax", "3.5", "--points", "50", "--eta0", "1e-4", "--out", "out"], cache, cwd)
+                    "--emax", "3.5", "--points", "50", "--eta0", "1e-4", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     lines = (cwd / "out" / "density.csv").read_text().strip().splitlines()
     assert lines[0] == "E,rho"
     assert len(lines) == 51
 
 
-def test_tw_table_command(workspace):
-    cwd, cache = workspace
-    proc = run_cli(["tw-table", "--smin", "-10", "--smax", "6", "--step", "0.05", "--out", "out"], cache, cwd)
+def test_tw_table_command(tmp_path):
+    cwd = tmp_path
+    proc = run_cli(["tw-table", "--smin", "-10", "--smax", "6", "--step", "0.05", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     rows = (cwd / "out" / "tw_table.csv").read_text().strip().splitlines()
     assert rows[0] == "s,F1,F2"
     assert len(rows) == 322
 
 
-def test_flow_verify_manifest(workspace):
-    cwd, cache = workspace
+def test_flow_verify_manifest(tmp_path):
+    cwd = tmp_path
     manifest = [
         {"check": "sum_rules", "spectrum": "twopoint:a=1,b=2,w=0.5,M=90,N=90", "t": 0.5},
         {"check": "optical", "spectrum": "identity:M=90,N=90", "t": 0.0, "reps": 200, "seed": 5},
     ]
     (cwd / "checks.json").write_text(json.dumps(manifest))
-    proc = run_cli(["flow-verify", "--manifest", "checks.json", "--threads", "1", "--out", "out"], cache, cwd)
+    proc = run_cli(["flow-verify", "--manifest", "checks.json", "--threads", "1", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     report = json.loads((cwd / "out" / "flow_verify.json").read_text())
     assert {r["check"] for r in report} == {"sum_rules", "optical"}
@@ -288,43 +279,65 @@ def test_flow_verify_draws_one_sample_per_group(tmp_path, monkeypatch):
     assert report == [r.to_dict() for r in expected]
 
 
-def test_detect_command_and_exit(workspace):
-    cwd, cache = workspace
+def test_detect_command_and_exit(tmp_path):
+    cwd = tmp_path
     proc = run_cli(["detect", "--spectrum", "identity:M=100,N=100", "--table-N", "100",
-                    "--null-reps", "1000", "--seed", "1", "--threads", "1", "--out", "out"], cache, cwd)
+                    "--null-reps", "1000", "--seed", "1", "--threads", "1", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     result = json.loads((cwd / "out" / "detect.json").read_text())
     assert 0.0 < result["p_value"] <= 1.0
     assert result["n_null"] == 1000
 
 
-def test_detect_output_independent_of_cache(tmp_path):
-    # a null table for another N in the cache directory must not change the output
-    stale = tmp_path / "b" / "cache" / "goe_R_N60_n1000_seed0.csv"
-    stale.parent.mkdir(parents=True)
-    np.savetxt(stale, edgekit.calibrate_null(60, 1000, seed=0), fmt="%.17g")
-    (tmp_path / "a" / "cache").mkdir(parents=True)
-    args = ["detect", "--spectrum", "identity:M=100,N=100", "--null-reps", "1000",
-            "--seed", "1", "--threads", "1", "--out", "out"]
-    for side in ("a", "b"):
-        proc = run_cli(args, tmp_path / side / "cache", tmp_path / side)
+# Where earlier versions kept a Tracy-Widom table for the default grid (-10, 6,
+# step 0.01), which tw-table and simulate --ks read back verbatim: the cache
+# directory came from $EDGEKIT_CACHE, or ~/.cache/edgekit when it was unset.
+_OLD_TW_CACHE_FILE = "tw_table_dcf547b37aa28e6d.csv"
+
+
+@pytest.mark.parametrize("args", [
+    ["tw-table"],
+    ["simulate", "--spectrum", "identity:M=60,N=60", "--reps", "40", "--seed", "3",
+     "--threads", "1", "--ks"],
+    ["detect", "--spectrum", "identity:M=100,N=100", "--null-reps", "1000", "--seed", "1",
+     "--threads", "1"],
+], ids=["tw-table", "simulate-ks", "detect"])
+def test_output_independent_of_cache(tmp_path, args):
+    # outputs come from the flags alone: hand-edited tables in a cache directory,
+    # under HOME or under $EDGEKIT_CACHE, must not reach them, and no run writes
+    # under HOME
+    table = edgekit.tw_table()
+    edited = edgekit.TWTable(grid=table.grid, F1=table.F2, F2=table.F2)
+    stale_null = edgekit.calibrate_null(60, 1000, seed=0)  # a null table for another N
+    env_cache = tmp_path / "dirty" / "env_cache"
+    for folder in (tmp_path / "dirty" / "home" / ".cache" / "edgekit", env_cache):
+        folder.mkdir(parents=True)
+        edited.to_csv(folder / _OLD_TW_CACHE_FILE)
+        np.savetxt(folder / "goe_R_N60_n1000_seed0.csv", stale_null, fmt="%.17g")
+    (tmp_path / "clean" / "home").mkdir(parents=True)
+    outputs = {}
+    for side, env in (("clean", {}), ("dirty", {"EDGEKIT_CACHE": str(env_cache)})):
+        cwd, home = tmp_path / side, tmp_path / side / "home"
+        before = sorted(home.rglob("*"))
+        proc = run_cli(args + ["--out", "out"], cwd, home, **env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "", proc.stderr
-    for name in ("detect.json", "manifest.json"):
-        assert (tmp_path / "a" / "out" / name).read_bytes() == (tmp_path / "b" / "out" / name).read_bytes()
+        assert sorted(home.rglob("*")) == before
+        outputs[side] = proc.stdout, {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+    assert outputs["clean"] == outputs["dirty"]
 
 
-def _run_python(lines, cwd, cache):
+def _run_python(lines, cwd):
     proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
-                          text=True, cwd=cwd, env=_child_env(cache, cwd))
+                          text=True, cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
 
-def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(workspace):
+def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(tmp_path):
     # the null table is a tridiagonal bisection in this process, and the observed draw
     # is numpy's svd of a reduced factor on any population: neither loads scipy
-    cwd, cache = workspace
+    cwd = tmp_path
     last = _run_python([
         "import sys; from edgekit import cli, ensemble",
         "pools = []",
@@ -338,16 +351,16 @@ def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(workspace):
         "identity = 'scipy' in sys.modules",
         "codes.append(cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                       '--null-reps', '1000', '--threads', '2', '--out', 'dense']))",
-        "print(codes, pools, identity, 'scipy' in sys.modules)"], cwd, cache)
+        "print(codes, pools, identity, 'scipy' in sys.modules)"], cwd)
     assert last == "[0, 0, 0] [] False False", last
     assert (cwd / "out2" / "detect.json").read_bytes() == (cwd / "out1" / "detect.json").read_bytes()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
-def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
+def test_detect_dense_draw_runs_on_one_blas_thread(tmp_path):
     # the observed draw's svd runs on one numpy OpenBLAS thread, whatever the caller set,
     # and the caller's count is back afterwards
-    cwd, cache = workspace
+    cwd = tmp_path
     last = _run_python([
         "import ctypes; import numpy as np; from edgekit import cli",
         "with open('/proc/self/maps') as maps:",
@@ -367,17 +380,17 @@ def test_detect_dense_draw_runs_on_one_blas_thread(workspace):
         "np.linalg.svd = reading",
         "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
-        "print(code, seen, get())"], cwd, cache)
+        "print(code, seen, get())"], cwd)
     if last == "unfound":
         pytest.skip("numpy's OpenBLAS is not found in /proc/self/maps")
     assert last == "0 [1] 2", last
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
-def test_top_eigenvalues_pins_the_scipy_it_loads(workspace):
+def test_top_eigenvalues_pins_the_scipy_it_loads(tmp_path):
     # scipy.linalg first loads inside top_eigenvalues, with the BLAS variables unset: the
     # pin still covers scipy's OpenBLAS, so the solve runs on one thread
-    cwd, cache = workspace
+    cwd = tmp_path
     last = _run_python([
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
         "assert 'scipy.linalg' not in sys.modules",
@@ -392,18 +405,18 @@ def test_top_eigenvalues_pins_the_scipy_it_loads(workspace):
         "ensemble._solve_top = reading",
         "spec = ek.identity_spectrum(100, 100)",
         "ek.top_eigenvalues(ek.sample_data_matrix(ek.EnsembleConfig(spec), 0), spec, 1)",
-        "print(seen)"], cwd, cache)
+        "print(seen)"], cwd)
     if last == "[]":
         pytest.skip("scipy's OpenBLAS is not found in /proc/self/maps")
     assert last == "[1]", last
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
-def test_covariance_replicate_pins_the_scipy_it_loads(workspace):
+def test_covariance_replicate_pins_the_scipy_it_loads(tmp_path):
     # a serial map_replicates over Gaussian covariance replicates, in a process where
     # scipy.linalg first loads inside the first job: every OpenBLAS, numpy's and the one
     # that job loads, is on one thread during each solve
-    cwd, cache = workspace
+    cwd = tmp_path
     last = _run_python([
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
         "assert 'scipy.linalg' not in sys.modules",
@@ -423,64 +436,64 @@ def test_covariance_replicate_pins_the_scipy_it_loads(workspace):
         "ensemble._solve_top = reading",
         "config = ek.EnsembleConfig(ek.identity_spectrum(100, 100), replicates=2)",
         "ensemble.map_replicates(ensemble.covariance_replicate, [(config, 0), (config, 1)], 1)",
-        "print(sorted(set(seen)))"], cwd, cache)
+        "print(sorted(set(seen)))"], cwd)
     if "''" not in last:
         pytest.skip(f"scipy's OpenBLAS is not found in /proc/self/maps: {last}")
     assert last == "[('', 1), ('64_', 1)]", last
 
 
-def test_compare_command(workspace):
-    cwd, cache = workspace
+def test_compare_command(tmp_path):
+    cwd = tmp_path
     proc = run_cli(["compare", "--spectrum", "identity:M=100,N=100", "--reps", "60",
-                    "--seed", "2", "--threads", "1", "--out", "out"], cache, cwd)
+                    "--seed", "2", "--threads", "1", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((cwd / "out" / "compare.json").read_text())
     assert abs(payload["gap"]) <= 6.0 * payload["ci"]
 
 
-def test_manifest_rerun_reproduces(workspace):
-    cwd, cache = workspace
+def test_manifest_rerun_reproduces(tmp_path):
+    cwd = tmp_path
     args = ["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
             "--threads", "1", "--out", "orig"]
-    proc = run_cli(args, cache, cwd)
+    proc = run_cli(args, cwd)
     assert proc.returncode == 0, proc.stderr
     manifest = cwd / "orig" / "manifest.json"
     rewritten = json.loads(manifest.read_text())
     rewritten["out"] = str(cwd / "redo")
     (cwd / "redo_manifest.json").write_text(json.dumps(rewritten))
-    proc = run_cli(["rerun", "redo_manifest.json"], cache, cwd)
+    proc = run_cli(["rerun", "redo_manifest.json"], cwd)
     assert proc.returncode == 0, proc.stderr
     assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
 
 
-def test_parent_era_manifest_with_null_n_reruns(workspace):
+def test_parent_era_manifest_with_null_n_reruns(tmp_path):
     # manifests written while simulate still had --N carry "N": null; rerun skips it
-    cwd, cache = workspace
+    cwd = tmp_path
     proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
-                    "--threads", "1", "--out", "orig"], cache, cwd)
+                    "--threads", "1", "--out", "orig"], cwd)
     assert proc.returncode == 0, proc.stderr
     manifest = {"command": "simulate", "out": str(cwd / "redo"), "seed": 11,
                 "parameters": {"N": None, "entries": "gaussian", "k": 1, "ks": False, "reps": 25,
                                "seed": 11, "spectrum": "identity:M=90,N=90"}}
     (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    proc = run_cli(["rerun", "old_manifest.json"], cache, cwd)
+    proc = run_cli(["rerun", "old_manifest.json"], cwd)
     assert proc.returncode == 0, proc.stderr
     assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
 
 
-def test_legacy_n_manifest_reruns_or_is_rejected(workspace):
+def test_legacy_n_manifest_reruns_or_is_rejected(tmp_path):
     # manifests written while simulate still took --N carry its value; rerun
     # drops it when the spectrum has that N and rejects it otherwise
-    cwd, cache = workspace
+    cwd = tmp_path
     proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
-                    "--threads", "1", "--out", "orig"], cache, cwd)
+                    "--threads", "1", "--out", "orig"], cwd)
     assert proc.returncode == 0, proc.stderr
     for legacy_n, out in ((90, "redo"), (20, "rejected")):
         manifest = {"command": "simulate", "out": str(cwd / out), "seed": 11,
                     "parameters": {"N": legacy_n, "entries": "gaussian", "k": 1, "ks": False,
                                    "reps": 25, "seed": 11, "spectrum": "identity:M=90,N=90"}}
         (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        proc = run_cli(["rerun", "old_manifest.json"], cache, cwd)
+        proc = run_cli(["rerun", "old_manifest.json"], cwd)
         if legacy_n == 90:
             assert proc.returncode == 0, proc.stderr
             assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / out / "samples.csv").read_bytes()
@@ -490,15 +503,15 @@ def test_legacy_n_manifest_reruns_or_is_rejected(workspace):
             assert not (cwd / out).exists()
 
 
-def test_negative_seed_is_domain_rejection(workspace):
-    cwd, cache = workspace
+def test_negative_seed_is_domain_rejection(tmp_path):
+    cwd = tmp_path
     (cwd / "checks.json").write_text(json.dumps(
         [{"check": "optical", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": -1}]))
     for args in (["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5", "--seed", "-1"],
                  ["detect", "--spectrum", "identity:M=20,N=20", "--null-reps", "1000",
                   "--table-seed", "-1"],
                  ["flow-verify", "--manifest", "checks.json"]):
-        proc = run_cli(args + ["--threads", "1", "--out", "out"], cache, cwd)
+        proc = run_cli(args + ["--threads", "1", "--out", "out"], cwd)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("domain rejection: seed -1 outside"), proc.stderr
         assert "Traceback" not in proc.stderr
@@ -574,12 +587,12 @@ def test_edge_overflow_is_domain_rejection(tmp_path, capsys, command, scale):
 
 
 @pytest.mark.parametrize("scale", list(_SCALE_REJECTION))
-def test_edge_rejection_is_first_on_stderr(workspace, scale):
+def test_edge_rejection_is_first_on_stderr(tmp_path, scale):
     # no numpy overflow warning precedes the rejection (pytest captures warnings
     # apart from stderr, so only a child process shows them)
-    cwd, cache = workspace
+    cwd = tmp_path
     proc = run_cli(["edge", "--spectrum", f"twopoint:a={scale},b={scale},w=0.5,M=10,N=10",
-                    "--out", "out"], cache, cwd)
+                    "--out", "out"], cwd)
     assert proc.returncode == cli.EXIT_DOMAIN, proc.stderr
     assert proc.stderr.startswith("domain rejection: " + _SCALE_REJECTION[scale]), proc.stderr
 

@@ -28,11 +28,19 @@ def _config(spec, **kw):
 
 
 def test_entry_distributions_standardized():
-    for kind in ("gaussian", "rademacher", "skewed-two-point"):
-        dist = ek.EntryDistribution(kind=kind)
-        mean, var = dist.closed_form_moments()
-        assert mean == pytest.approx(0.0, abs=1e-14)
-        assert var == pytest.approx(1.0, abs=1e-14)
+    # a million draws of sqrt(N) x_ij per law: mean 0 and variance 1 within sampling
+    # error (standard errors below 2e-3), and exactly so from the two-point laws' atoms
+    rng = np.random.default_rng(0)
+    for kind in ensemble.ENTRY_KINDS:
+        x = ek.EntryDistribution(kind=kind).sample(rng, 1000, 1000) * np.sqrt(1000)
+        assert abs(x.mean()) < 1e-2 and abs(x.var() - 1.0) < 1e-2, kind
+        if kind == "gaussian":
+            continue
+        b, a = np.unique(x)  # the negative and the positive atom
+        p = 0.5 if kind == "rademacher" else ensemble.SKEWED_WEIGHT
+        assert np.mean(x == a) == pytest.approx(p, abs=5e-3), kind
+        assert p * a + (1.0 - p) * b == pytest.approx(0.0, abs=1e-14), kind
+        assert p * a * a + (1.0 - p) * b * b == pytest.approx(1.0, abs=1e-14), kind
     with pytest.raises(DomainRejectionError):
         ek.EntryDistribution(kind="cauchy")
 
