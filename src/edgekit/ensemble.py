@@ -3,10 +3,14 @@
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
 Every replicate's matrix is built here.  A Gaussian replicate, wherever only its
 spectrum is wanted, is the reduced triangular factor F of `gaussian_factor`
-(`detect` takes its singular values, `simulate` its Gram by `factor_gram`, green
-its Gram by `gram`); other entry laws draw X, and `top_eigenvalues` takes the Gram
-of Sigma^{1/2} X by `gram`; `compare` takes a constant population's Gram F^T F
-in tridiagonal form.
+(`detect` takes its singular values, `simulate` its Gram by `factor_gram`, a
+decoupling base its Gram by `gram`); other entry laws draw X, and
+`top_eigenvalues` takes the Gram of Sigma^{1/2} X by `gram`.  The flow checks
+and `compare` take `gaussian_tridiagonals`: a constant population's Gram F^T F
+drawn in tridiagonal form, any other's `factor_gram` reduced to it by dsytrd.
+LAPACK (dsytrd, dlauum, dsyevr) and dsyrk come from numpy's own OpenBLAS
+through ctypes, found on first use, so no replicate loads scipy; where that
+library lacks them, from scipy.linalg (`_lapack`).
 
 Every Monte Carlo estimate is a `map_replicates` over jobs, each drawing from
 its own counter-based Philox stream (Salmon et al., SC 2011), built only by
@@ -21,7 +25,7 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
 count: on Linux the replicate engine pins every loaded OpenBLAS to one thread,
-and so do `covariance_replicate` and `top_eigenvalues`, which load scipy's.
+and so does every LAPACK caller, scipy's OpenBLAS too where the routines load it.
 Within one map_replicates call each process reuses its dense arrays (the data
 matrix or the factor, its weighted copy, the Gram) from one replicate to the
 next, through `workspace`, and releases them when the call returns; every
@@ -36,8 +40,8 @@ once, from the factor's variates, with no dense matrix.
 `tridiagonal_top` takes the top k of a batch of tridiagonals, such as the GOE
 null table's, by vectorized Sturm bisection of each matrix's leading ~16 N^{1/3}
 rows, where the top eigenvalues live, certified by one count over all N rows;
-a matrix the count rejects is bisected again on all rows, so every result is
-the full matrix's bit for bit.
+a matrix the count rejects is bisected again on twice the rows, and so on up to
+all N, so every result is the full matrix's bit for bit.
 """
 
 from __future__ import annotations
@@ -156,7 +160,21 @@ def _attributed(worker, indexed_job):
     try:
         return worker(job)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        raise ConvergenceError(f"{getattr(worker, 'job_name', 'replicate')} {index}: {exc}") from exc
+        name = getattr(worker, "job_name", "replicate")
+        if name is None:  # a job of several replicates names the one that failed
+            raise
+        raise ConvergenceError(f"{name} {index}: {exc}") from exc
+
+
+def _openblas_paths() -> list:
+    """The OpenBLAS libraries mapped into this process, from /proc/self/maps; none
+    where that file does not exist."""
+    try:
+        with open("/proc/self/maps") as maps:
+            return list(dict.fromkeys(line.split()[-1] for line in maps
+                                      if "openblas" in line and ".so" in line))
+    except OSError:
+        return []
 
 
 # whether scipy.linalg was loaded -> the (get, set) thread controls of every OpenBLAS
@@ -177,13 +195,7 @@ def _one_blas_thread():
     controls = _blas_controls.get(scipy_loaded)
     if controls is None:
         controls = []
-        try:
-            with open("/proc/self/maps") as maps:
-                paths = dict.fromkeys(line.split()[-1] for line in maps
-                                      if "openblas" in line and ".so" in line)
-        except OSError:
-            paths = {}
-        for path in paths:
+        for path in _openblas_paths():
             lib = ctypes.CDLL(path)
             for suffix in ("64_", ""):  # numpy's symbols carry the suffix, scipy's do not
                 get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
@@ -201,6 +213,126 @@ def _one_blas_thread():
     finally:
         for (_, set_), count in zip(controls, counts):
             set_(count)
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} returned info={info}")
+
+
+_COLUMN_MAJOR, _UPPER, _NO_TRANSPOSE = 102, 121, 111  # LAPACKE and CBLAS enumerations
+
+
+def _order(A: np.ndarray) -> int:
+    """n for a square n x n A, which LAPACK reads through a pointer with no bounds."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A.shape[0]
+
+
+class _OpenblasLapack:
+    """LAPACK's dsytrd, dlauum and dsyevr (through LAPACKE) and BLAS's dsyrk (through
+    CBLAS) of numpy's OpenBLAS, whose integers are 64-bit, called by ctypes.  Each
+    routine takes Fortran-ordered matrices and works in place."""
+
+    SYMBOLS = ("scipy_LAPACKE_dsytrd64_", "scipy_LAPACKE_dlauum64_",
+               "scipy_LAPACKE_dsyevr64_", "scipy_cblas_dsyrk64_")
+
+    def __init__(self, lib):
+        matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+        vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+        i64, char, enum, real = ctypes.c_int64, ctypes.c_char, ctypes.c_int, ctypes.c_double
+        signatures = (
+            [enum, char, i64, matrix, i64, vector, vector, vector],
+            [enum, char, i64, matrix, i64],
+            [enum, char, char, char, i64, matrix, i64, real, real, i64, i64, real,
+             ctypes.POINTER(i64), vector, vector, i64, index],
+            [enum, enum, enum, i64, i64, real, matrix, i64, real, matrix, i64])
+        self._sytrd, self._lauum, self._syevr, self._syrk = (
+            getattr(lib, name) for name in self.SYMBOLS)
+        for fn, argtypes in zip((self._sytrd, self._lauum, self._syevr, self._syrk), signatures):
+            fn.argtypes, fn.restype = argtypes, i64
+        self._syrk.restype = None
+
+    def sytrd(self, A):
+        """(d, e) of the tridiagonal Q^T A Q that dsytrd reduces A to, read from A's
+        upper triangle."""
+        n = _order(A)
+        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        _check_info("dsytrd", self._sytrd(_COLUMN_MAJOR, b"U", n, A, n, d, e, tau))
+        return d, e
+
+    def lauum(self, A):
+        """U U^T in place of A's upper triangle U."""
+        n = _order(A)
+        _check_info("dlauum", self._lauum(_COLUMN_MAJOR, b"U", n, A, n))
+
+    def syrk(self, C, B):
+        """C + B B^T in place of C's upper triangle."""
+        n, k = B.shape
+        if _order(C) != n:
+            raise ValueError(f"dsyrk of a {B.shape} matrix into {C.shape}")
+        self._syrk(_COLUMN_MAJOR, _UPPER, _NO_TRANSPOSE, n, k, 1.0, B, n, 1.0, C, n)
+
+    def syevr_top(self, A, k, lower):
+        """The k largest eigenvalues of A, ascending, read from its lower or upper triangle."""
+        n = _order(A)
+        w, found = np.empty(n), ctypes.c_int64()
+        info = self._syevr(_COLUMN_MAJOR, b"N", b"I", b"L" if lower else b"U", n, A, n, 0.0, 1.0,
+                           n - k + 1, n, 0.0, found, w, np.empty(1), 1, np.empty(2 * n, np.int64))
+        _check_info("dsyevr", info)
+        return w[:k]
+
+
+class _ScipyLapack:
+    """The routines of `_OpenblasLapack`, with the same arguments, from scipy.linalg."""
+
+    def __init__(self):
+        from scipy.linalg import blas, lapack
+        self._blas, self._lapack = blas, lapack
+
+    def sytrd(self, A):
+        lwork = int(self._lapack.dsytrd_lwork(A.shape[0])[0])
+        _, d, e, _, info = self._lapack.dsytrd(A, lwork=max(lwork, 1), overwrite_a=1)
+        _check_info("dsytrd", info)
+        return d, e
+
+    def lauum(self, A):
+        _check_info("dlauum", self._lapack.dlauum(A, overwrite_c=1)[1])
+
+    def syrk(self, C, B):
+        self._blas.dsyrk(1.0, B, beta=1.0, c=C, overwrite_c=1)
+
+    def syevr_top(self, A, k, lower):
+        n = A.shape[0]
+        lwork, liwork, _ = self._lapack.dsyevr_lwork(n, lower=lower)
+        w, _, _, _, info = self._lapack.dsyevr(A, compute_v=0, range="I", lower=lower,
+                                               il=n - k + 1, iu=n, lwork=int(lwork),
+                                               liwork=liwork, overwrite_a=1)
+        _check_info("dsyevr", info)
+        return w[:k]
+
+
+@functools.cache
+def _lapack():
+    """The LAPACK routines of every replicate: numpy's OpenBLAS, where it exports
+    them, or else scipy.linalg.  Resolved on first use, never at import, and
+    inherited by forked workers."""
+    for path in _openblas_paths():
+        lib = ctypes.CDLL(path)
+        if all(hasattr(lib, name) for name in _OpenblasLapack.SYMBOLS):
+            return _OpenblasLapack(lib)
+    return _ScipyLapack()
+
+
+@contextlib.contextmanager
+def _lapack_on_one_blas_thread():
+    """`_one_blas_thread`, entered once `_lapack` is resolved, so that it also pins
+    the OpenBLAS that scipy.linalg brings where the routines come from there."""
+    _lapack()
+    with _one_blas_thread():
+        yield
 
 
 # .arrays: name -> array while this thread runs map_replicates; per thread, so two
@@ -232,7 +364,9 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
     worker must be a module-level function.  A ConvergenceError or LinAlgError
     in worker(jobs[i]) is raised as ConvergenceError("replicate i: ...") on
     either path, or with worker.job_name in place of "replicate" when a job
-    is not one replicate.  Every job runs with BLAS on one thread, so its cost
+    is not one replicate; a worker whose job_name is None runs several
+    replicates a job, and its own error, which names the replicate, is raised
+    as it is.  Every job runs with BLAS on one thread, so its cost
     and its rounding do not depend on OPENBLAS_NUM_THREADS; forked workers
     inherit that setting.  Jobs reuse the arrays `workspace` hands out, each
     process its own, until the call returns or raises; then they are released.
@@ -284,9 +418,7 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
     B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
     narrow = B.T if M <= N else B  # B B^T for M <= N, else B^T B
-    import scipy.linalg  # noqa: F401  (loaded first, so that the pin finds scipy's OpenBLAS)
-
-    with _one_blas_thread():
+    with _lapack_on_one_blas_thread():
         # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
         # symmetric, so A.T is that matrix and is solved in place
         return _solve_top(gram(narrow).T, k, True, lambda: narrow.T @ narrow)
@@ -298,19 +430,14 @@ def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
     algorithm of Dhillon & Parlett 2004).  Should LAPACK fail, full() forms the
     whole matrix afresh, since the solve may have overwritten A, for the message.
     """
-    n = A.shape[0]
     try:
-        from scipy.linalg import eigh
-
-        # no pass over A to check for finite values: a replicate's Gram is finite
-        vals = eigh(A, lower=lower, subset_by_index=[n - k, n - 1], driver="evr",
-                    eigvals_only=True, overwrite_a=True, check_finite=False)
+        vals = _lapack().syevr_top(A, k, lower)
     except np.linalg.LinAlgError as exc:
         A = full()
         raise ConvergenceError(
             f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
             f"trace={np.trace(A):.3e}") from exc
-    return vals[-k:][::-1].copy()
+    return vals[::-1].copy()
 
 
 def gaussian_factor(spec: PopulationSpectrum, seed: int, index: int,
@@ -369,13 +496,11 @@ def factor_gram(F: np.ndarray) -> np.ndarray:
     a syrk of the same size; for M > N, dsyrk then adds the Gram of the
     remaining rows.
     """
-    from scipy.linalg.blas import dsyrk
-    from scipy.linalg.lapack import dlauum
-
     M, n = F.shape
-    A, _ = dlauum(F[:n].T, lower=0, overwrite_c=1)  # info < 0 only for an illegal argument
+    A = F[:n].T
+    _lapack().lauum(A)
     if M > n:
-        A = dsyrk(1.0, F[n:].T, beta=1.0, c=A, lower=0, overwrite_c=1)
+        _lapack().syrk(A, F[n:].T)
     return A
 
 
@@ -387,8 +512,8 @@ def covariance_replicate(args):
     """Top config.k eigenvalues of replicate rep of config, for args = (config, rep).
 
     Gaussian entries draw the factor of `gaussian_factor`; other entry laws draw
-    the data matrix X.  Either way the solve runs with every OpenBLAS, scipy's
-    too, on one thread.
+    the data matrix X.  Either way the solve runs with every OpenBLAS on one
+    thread.
     """
     config, rep = args
     spec = config.spectrum
@@ -400,9 +525,7 @@ def covariance_replicate(args):
         F = gaussian_factor(spec, config.seed, rep, out=np.empty((spec.M, min(spec.M, spec.N))))
         return F.T @ F
 
-    import scipy.linalg  # noqa: F401  (loaded first, so that the pin finds scipy's OpenBLAS)
-
-    with _one_blas_thread():
+    with _lapack_on_one_blas_thread():
         return _solve_top(factor_gram(gaussian_factor(spec, config.seed, rep)), config.k, False, full)
 
 
@@ -424,8 +547,8 @@ def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarra
     """(d, e), shapes (N, R) and (N - 1, R): column r holds the diagonal and the
     off-diagonal of an N x N symmetric tridiagonal matrix with the spectrum of
     X^* X, for X an M x N matrix of independent N(0, 1/N) entries: the
-    Gaussian replicate (seed, indices[r]) of the constant population.
-    `compare` draws its constant-population halves here.
+    Gaussian replicate (seed, indices[r]) of the constant population, which
+    `gaussian_tridiagonals` draws here.
 
     The matrix is F^T F for that replicate's factor F of `gaussian_factor`,
     lower bidiagonal for a population of one run: its chi-square variates are
@@ -446,9 +569,38 @@ def laguerre_tridiagonals(M: int, N: int, seed: int, indices) -> tuple[np.ndarra
     return d, e
 
 
+def gaussian_tridiagonals(spec: PopulationSpectrum, seed: int,
+                          indices) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e), laid out as `laguerre_tridiagonals` returns them: column r holds an
+    N x N symmetric tridiagonal matrix with the spectrum of X^* Sigma X for the
+    Gaussian replicate (seed, indices[r]) of spec, its last N - min(M, N) rows zero.
+
+    A constant population c I takes the Laguerre tridiagonal of its factor's
+    chi-square variates, times c.  Any other draws the factor of `gaussian_factor`,
+    forms its Gram by `factor_gram`, and reduces that to tridiagonal form by
+    LAPACK's dsytrd (Householder reflections, which keep the spectrum), with
+    every OpenBLAS on one thread.  A failed reduction raises ConvergenceError
+    naming the replicate's index.
+    """
+    sigma = spec.eigenvalues
+    if np.all(sigma == sigma[0]):
+        d, e = laguerre_tridiagonals(spec.M, spec.N, seed, indices)
+        return sigma[0] * d, sigma[0] * e
+    n = min(spec.M, spec.N)
+    d, e = np.zeros((spec.N, len(indices))), np.zeros((spec.N - 1, len(indices)))
+    with _lapack_on_one_blas_thread():
+        for r, index in enumerate(indices):
+            try:
+                A = factor_gram(gaussian_factor(spec, seed, index))
+                d[:n, r], e[:n - 1, r] = _lapack().sytrd(A)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"replicate {index}: {exc}") from exc
+    return d, e
+
+
 _BISECTIONS = 64  # halvings to converge from the widened Gershgorin interval: at most ~56
 # tridiagonal_top bisects the leading ceil(_LEADING_ROWS N^{1/3}) rows first: the smallest
-# whole value with which GOE batches of 2000 send no matrix to the full-row bisection at
+# whole value with which GOE batches of 2000 send no matrix to a second pass at
 # N <= 400 and under 1 in 400 at N = 800 (15 sends 0.2-1.7% at N = 200-800)
 _LEADING_ROWS = 16
 
@@ -519,9 +671,11 @@ def tridiagonal_top(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     N - 1 - j below it, counted over all N rows: the count is monotone, so every
     halving then went the way the full bisection's does, and the result is the
     full bisection's bit for bit.  A matrix with a lane not certified is
-    bisected again on all N rows from its Gershgorin interval.  So whatever n
-    is, every result equals that of bisecting all N rows, and the top k are the
-    first k of a k = N solve; n sets only the cost.  A matrix that does not
+    bisected again from its Gershgorin interval on twice as many rows, 2n, 4n,
+    ..., up to all N, where every lane is the full bisection's; each pass takes
+    only the matrices still uncertified.  So whatever n is, every result equals
+    that of bisecting all N rows, and the top k are the first k of a k = N
+    solve; n sets only the cost.  A matrix that does not
     settle in _BISECTIONS halvings (a NaN entry) raises ConvergenceError
     naming its row of the result.
     """
@@ -542,19 +696,24 @@ def tridiagonal_top(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e2max)
     floor = np.maximum(eps * norm, pivmin)
     slack = 2.0 * eps * N * norm + 2.0 * pivmin
-    a0 = np.repeat((lo - slack)[None], k, axis=0)
-    b0 = np.repeat((hi + slack)[None], k, axis=0)
-    a, b = a0.copy(), b0.copy()
+    lo, hi = lo - slack, hi + slack
+    a, b, failed = np.empty((k, R)), np.empty((k, R)), np.empty((k, R), dtype=bool)
     rank = np.arange(1, k + 1)[:, None]  # of n rows, the j-th largest has n - rank[j] below it
     n = min(N, max(k, int(np.ceil(_LEADING_ROWS * N ** (1.0 / 3.0)))))
-    failed = _bisect(d[:n], e[:n - 1], a, b, n - rank, floor, pivmin)
-    if n < N:
-        failed |= _negative_pivots(d, e, b, pivmin) <= N - rank  # not certified
-        rows = np.flatnonzero(failed.any(axis=0))
-        a_rows, b_rows = a0[:, rows], b0[:, rows]
-        failed[:, rows] = _bisect(d[:, rows], e[:, rows], a_rows, b_rows, N - rank,
+    rows = slice(None)  # the matrices not yet certified: all, then those rejected
+    while True:
+        d_rows, e_rows = d[:, rows], e[:, rows]
+        a_rows, b_rows = np.repeat(lo[None, rows], k, axis=0), np.repeat(hi[None, rows], k, axis=0)
+        failed[:, rows] = _bisect(d_rows[:n], e_rows[:n - 1], a_rows, b_rows, n - rank,
                                   floor[rows], pivmin[rows])
         a[:, rows], b[:, rows] = a_rows, b_rows
+        if n == N:
+            break
+        uncertified = (failed[:, rows] | (_negative_pivots(d_rows, e_rows, b_rows, pivmin[rows])
+                                          <= N - rank)).any(axis=0)
+        if not uncertified.any():
+            break
+        rows, n = np.arange(R)[rows][uncertified], min(N, 2 * n)
     if failed.any():
         row = int(np.flatnonzero(failed.any(axis=0))[0])
         raise ConvergenceError(f"row {row}: Sturm bisection unsettled after {_BISECTIONS} halvings, "

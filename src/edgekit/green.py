@@ -22,19 +22,23 @@ here estimate both statements with bootstrap error bars and report
 PASS / FAIL / INCONCLUSIVE.  Both read the same index-averaged (X3, X4)
 replicates, so `flow_checks` returns the two reports from one sample.
 
+The flow checks and the comparison functional read a replicate through traces
+of its resolvent alone: each draws the replicate as a tridiagonal J with the
+spectrum of Q (`ensemble.gaussian_tridiagonals`: a constant population's
+Laguerre tridiagonal, any other's dense Gram of the reduced factor reduced by
+dsytrd) and reads Tr (J - z)^{-k} off the pivots of J - z, with no eigensolve.
+Their dense draws run through `map_replicates` in blocks of _BLOCK replicates,
+and each block returns only its per-replicate scalars.
+
 The decoupling check resamples one row of X inside a frozen base: a rank-one
-change of X^* T X.  So each base is one job with one eigenvalue solve, and
-every resampled row follows from the one-row resolvent identity (the identity
-the decoupling expansion is built from) by O(N) spectral sums.
+change of X^* T X.  Its resampled rows are read in the base's eigenbasis, so
+each base is one job that solves the Gram of its reduced factor for its
+eigenvalues, and every resampled row follows from the one-row resolvent
+identity (the identity the decoupling expansion is built from) by O(N)
+spectral sums.
 
-The comparison functional draws Q for a constant population T = cI as the
-tridiagonal J = c F^T F of the replicate's factor (`ensemble.laguerre_tridiagonals`)
-and reads Tr (Q - z)^{-1} off the pivots of J - z: no dense matrix and no
-eigensolve.
-
-Every replicate's matrix comes from `ensemble`.  A replicate is read through its
-spectrum alone, so in place of X it is the reduced factor of `gaussian_factor`
-(X is orthogonally invariant), solved for eigenvalues only.  Only `roman_green`
+Every replicate's matrix comes from `ensemble`: in place of X, the reduced
+factor of `gaussian_factor` (X is orthogonally invariant).  Only `roman_green`
 forms its own product, since the linearization may hand it a complex X.
 """
 
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_factor, gram,
-                       laguerre_tridiagonals, map_replicates, replicate_rng)
+from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_factor,
+                       gaussian_tridiagonals, gram, map_replicates, replicate_rng)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -54,6 +58,7 @@ from .stieltjes import solve_mfc
 DEFAULT_EPS = 0.05
 _BOOTSTRAP = 1000
 _QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
+_BLOCK = 64  # replicates per job of the flow checks' and the comparison's dense draws
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +232,7 @@ def edge_window_z(state: FlowState, eps: float = DEFAULT_EPS, y: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo machinery (index-averaged estimators from one symmetric eigensolve)
+# Monte Carlo machinery (index-averaged estimators from traces of the resolvent)
 
 
 def _avg_observables(tr1, tr2, tr3, tr4, N: int):
@@ -239,22 +244,31 @@ def _avg_observables(tr1, tr2, tr3, tr4, N: int):
 
 def _gaussian_spectrum(spec: PopulationSpectrum, seed: int, index: int) -> np.ndarray:
     """All N eigenvalues of the Gaussian replicate (seed, index) of spec: N - min(M, N)
-    zeros, then those of its reduced factor's Gram, ascending."""
+    zeros, then those of its reduced factor's Gram, ascending; a decoupling base's."""
     lam = np.linalg.eigvalsh(gram(gaussian_factor(spec, seed, index)))
     return np.concatenate([np.zeros(spec.N - lam.size), lam])
 
 
-def _x3_x4_worker(args):
-    state, z, seed, rep = args
-    w = 1.0 / (_gaussian_spectrum(state.as_population(), seed, rep) - z)
-    m, X22, X33, X44, X44p = _avg_observables(w.sum(), (w ** 2).sum(), (w ** 3).sum(),
-                                              (w ** 4).sum(), state.N)
-    return _x3_x4(m + state.tau_t, X22, X33, X44, X44p)
+def _blocks(indices) -> list:
+    """indices cut into consecutive runs of _BLOCK, the replicates of one job."""
+    return [indices[i:i + _BLOCK] for i in range(0, len(indices), _BLOCK)]
+
+
+def _x3_x4_block(args):
+    """(X3, X4) of each replicate of the block, shape (len(indices), 2)."""
+    state, z, seed, indices = args
+    d, e = gaussian_tridiagonals(state.as_population(), seed, indices)
+    traces = _tridiagonal_trace(d, e, np.array([z]), 4)[:, 0].T
+    m, X22, X33, X44, X44p = _avg_observables(*traces, state.N)
+    return np.stack(_x3_x4(m + state.tau_t, X22, X33, X44, X44p), axis=1)
+
+
+_x3_x4_block.job_name = None  # the block's own error names the replicate that failed
 
 
 def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int = 1):
-    jobs = [(state, z, seed, r) for r in range(reps)]
-    arr = np.array(map_replicates(_x3_x4_worker, jobs, threads), dtype=complex)
+    jobs = [(state, z, seed, block) for block in _blocks(range(reps))]
+    arr = np.concatenate(map_replicates(_x3_x4_block, jobs, threads))
     return arr[:, 0], arr[:, 1]
 
 
@@ -294,7 +308,7 @@ def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS
     """The optical and cancellation reports at the edge window, from one sample.
 
     Both read the same index-averaged (X3, X4) replicates, so they are drawn
-    and eigensolved once.
+    once, each as a tridiagonal whose pivots give Tr G^k for k = 1..4.
 
     optical: E[X3] - 1/N = (A_4 - tau^{-4}) E[X4].  leading is the
     power-counting size of X3 (mean absolute value over draws); the theorem
@@ -432,48 +446,65 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
                        _status(resid, ci, leading * slack))
 
 
-def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Tr (J - z)^{-1} for the symmetric tridiagonal J = (d[:, r], e[:, r]) of each
-    column r, laid out as `ensemble.laguerre_tridiagonals` returns them, and each z
-    with Im z > 0, shape (columns, len(z)).
+def _tridiagonal_trace(d: np.ndarray, e: np.ndarray, z: np.ndarray, powers: int) -> np.ndarray:
+    """Tr (J - z)^{-k} for k = 1..powers, shape (columns, len(z), powers), for the
+    symmetric tridiagonal J = (d[:, r], e[:, r]) of each column r, laid out as
+    `ensemble.gaussian_tridiagonals` returns them, and each z with Im z > 0.
 
     The LDL^T pivots of J - z, p_1 = d_1 - z and p_i = d_i - z - e_{i-1}^2 / p_{i-1},
-    multiply to det(J - z), so Tr (J - z)^{-1} = -sum_i p_i' / p_i with the z-derivative
-    p_i' = -1 + e_{i-1}^2 p_{i-1}' / p_{i-1}^2.  Every Im p_i <= -Im z, so no pivot
-    is smaller than Im z and the recurrence needs no pivoting.
+    multiply to det(J - z), so with L(w) = sum_i log p_i(z + w),
+    Tr (J - z - w)^{-1} = -L'(w) and Tr (J - z)^{-k} = -[w^{k-1}] L'(w).  Each pivot
+    is carried as its Taylor series in w to order `powers` (Parlett, The Symmetric
+    Eigenvalue Problem, 1980, on the pivots): with c the series of p_{i-1} and r
+    that of 1/p_{i-1}, r_0 = 1/c_0 and r_m = -r_0 sum_{j=1..m} c_j r_{m-j}; then
+    p_i has c_0 = d_i - z - e^2 r_0, c_1 = -1 - e^2 r_1 and c_m = -e^2 r_m, and
+    [w^m] p_i'/p_i = sum_{j=0..m} (j + 1) c_{j+1} r_{m-j}.  Every Im p_i <= -Im z,
+    so no pivot is smaller than Im z and the recurrence needs no pivoting.
     """
     z = np.asarray(z)[None, :]
-    e2 = e ** 2
-    p = d[0][:, None] - z
-    dp = np.full(p.shape, -1.0 + 0.0j)
-    total = dp / p
-    for d_i, e2_prev in zip(d[1:], e2):
-        ratio = e2_prev[:, None] / p
-        dp = ratio * dp / p - 1.0
-        p = d_i[:, None] - z - ratio
-        total += dp / p
-    return -total
+    minus_e2 = -e[:, :, None] ** 2
+    c = [d[0][:, None] - z, np.full((d.shape[1], z.size), -1.0 + 0.0j)]
+    c += [np.zeros_like(c[1])] * (powers - 1)
+    total = [0.0] * powers
+    for i in range(d.shape[0]):
+        if i:
+            c = [d[i][:, None] - z + minus_e2[i - 1] * r[0], minus_e2[i - 1] * r[1] - 1.0,
+                 *(minus_e2[i - 1] * r_m for r_m in r[2:])]
+        r = [1.0 / c[0]]
+        minus_r0 = -r[0]
+        for m in range(1, powers + 1):
+            acc = c[1] * r[m - 1]
+            for j in range(2, m + 1):
+                acc += c[j] * r[m - j]
+            r.append(minus_r0 * acc)
+        dc = [c[1], *((j + 1) * c[j + 1] for j in range(1, powers))]  # the series of p_i'
+        for m in range(powers):
+            acc = dc[0] * r[m]
+            for j in range(1, m + 1):
+                acc += dc[j] * r[m - j]
+            total[m] = total[m] + acc
+    return -np.stack(total, axis=-1)
 
 
-def _functional_worker(args):
-    """N int Im m of one replicate, from its eigenvalues."""
-    state, xs, weights, eta, seed, rep = args
-    lam = _gaussian_spectrum(state.as_population(), seed, rep)
-    vals = np.array([np.mean(1.0 / (lam - (x + state.L_plus_t + 1j * eta))).imag for x in xs])
-    return state.N * np.dot(weights, vals)
+def _functional_block(args):
+    """N int Im m of each replicate (seed, index) for index in indices."""
+    state, xs, weights, eta, seed, indices = args
+    d, e = gaussian_tridiagonals(state.as_population(), seed, indices)
+    return _tridiagonal_trace(d, e, xs + state.L_plus_t + 1j * eta, 1)[:, :, 0].imag @ weights
+
+
+_functional_block.job_name = None  # the block's own error names the replicate that failed
 
 
 def _functional_samples(state: FlowState, xs, weights, eta: float, seed: int, indices,
                         threads: int) -> np.ndarray:
     """N int Im m of the replicate drawn from stream (seed, index), for each index."""
-    if np.all(state.t_alpha == state.t_alpha[0]):  # X^* T X is t_alpha[0] X^* X
-        # a replicate is tens of microseconds of chi-square draws, less than a
-        # pool spends forking and pickling it: draw them all here
-        d, e = laguerre_tridiagonals(state.M, state.N, seed, indices)
-        t = state.t_alpha[0]
-        return _tridiagonal_trace(t * d, t * e, xs + state.L_plus_t + 1j * eta).imag @ weights
-    jobs = [(state, xs, weights, eta, seed, index) for index in indices]
-    return np.array(map_replicates(_functional_worker, jobs, threads))
+    if np.all(state.t_alpha == state.t_alpha[0]):
+        # a constant population's replicate is tens of microseconds of chi-square
+        # draws, less than a pool spends forking and pickling it: draw them all here
+        return _functional_block((state, xs, weights, eta, seed, indices))
+    jobs = [(state, xs, weights, eta, seed, block) for block in _blocks(indices)]
+    return np.concatenate(map_replicates(_functional_block, jobs, threads))
 
 
 def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: int, seed: int,
@@ -487,8 +518,9 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     is drawn as the tridiagonal J of Q from its factor's chi-square variates
     alone, and Tr (J - z)^{-1} at every quadrature node comes from the pivot
     recurrence of J - z, for all replicates at once, in the calling process.
-    Other populations draw the reduced factor of each replicate and
-    solve for its eigenvalues through `map_replicates`.
+    Other populations reduce the Gram of each replicate's factor to its
+    tridiagonal by dsytrd and take the same recurrence, in blocks of replicates
+    through `map_replicates`.
     """
     if E1 > E2:
         raise DomainRejectionError("need E1 <= E2")

@@ -110,7 +110,7 @@ def _main_theorem_ks(kind: str, seed: int, tw) -> float:
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 400, 400)
     config = ek.EnsembleConfig(spec, entries=ek.EntryDistribution(kind=kind),
                                replicates=1000, k=1, seed=seed)
-    samples = ek.run_monte_carlo(config)
+    samples = ek.run_monte_carlo(config, threads=2)  # outputs do not depend on threads
     return ek.ks_statistic(np.sort(samples.column(0)), tw.grid, tw.F1).statistic
 
 
@@ -136,7 +136,7 @@ def test_c06_joint_top3_vs_goe(capsys):
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, N, N)
     edge = ek.edge_params(spec)
     config = ek.EnsembleConfig(spec, replicates=reps, k=3, seed=SEED + 2)
-    q = ek.run_monte_carlo(config, edge=edge)
+    q = ek.run_monte_carlo(config, threads=2, edge=edge)
     goe = ek.sample_goe_top(N, 3, reps, seed=SEED + 3)
     stats = [ek.two_sample_ks(q.rows[:, i], goe.rows[:, i]) for i in range(3)]
     ok = max(stats) <= 0.10
@@ -212,11 +212,12 @@ def test_c09_proof_machinery_suppression(capsys):
     spec4 = ek.two_point_spectrum(1.0, 2.0, 0.5, 400, 400)
     s200 = ek.flow_state(spec, 0.5)
     s400 = ek.flow_state(spec4, 0.5)
-    reports = {"decoupling": (ek.decoupling_residual(s200, reps=2000, seed=SEED + 5),
-                              ek.decoupling_residual(s400, reps=1200, seed=SEED + 6))}
+    # two processes: outputs do not depend on threads
+    reports = {"decoupling": (ek.decoupling_residual(s200, reps=2000, seed=SEED + 5, threads=2),
+                              ek.decoupling_residual(s400, reps=1200, seed=SEED + 6, threads=2))}
     # optical and cancellation from one shared sample per size
-    optical200, cancellation200 = ek.flow_checks(s200, reps=2000, seed=SEED + 5)
-    optical400, cancellation400 = ek.flow_checks(s400, reps=1200, seed=SEED + 6)
+    optical200, cancellation200 = ek.flow_checks(s200, reps=2000, seed=SEED + 5, threads=2)
+    optical400, cancellation400 = ek.flow_checks(s400, reps=1200, seed=SEED + 6, threads=2)
     reports["optical"] = (optical200, optical400)
     reports["cancellation"] = (cancellation200, cancellation400)
     ok = True

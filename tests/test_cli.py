@@ -108,18 +108,23 @@ def test_tracy_widom_tables_do_not_load_scipy(tmp_path):
 
 
 def test_simulate_ks_loads_no_scipy_solvers(tmp_path):
-    # the replicates need scipy.linalg; the Tracy-Widom reference needs none of
-    # the solver packages that scipy.integrate would pull in
+    # the replicates call LAPACK in numpy's own OpenBLAS, Gaussian and Rademacher alike,
+    # and the Tracy-Widom reference is numpy alone: no scipy module loads at all
     cwd = tmp_path
-    code = ("import sys; from edgekit import cli; "
-            "code = cli.main(['simulate', '--spectrum', 'identity:M=40,N=40', '--reps', '20', "
-            "'--threads', '1', '--ks', '--out', 'out']); "
-            "print(code, sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
-            "'scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    code = ("import sys; from edgekit import cli, ensemble; "
+            "codes = [cli.main(['simulate', '--spectrum', spec, '--reps', '20', '--entries', kind, "
+            "'--threads', '2', '--ks', '--out', 'out' + kind]) for spec, kind in ("
+            "('identity:M=40,N=40', 'gaussian'), ('twopoint:a=1,b=2,w=0.5,M=50,N=40', 'gaussian'), "
+            "('twopoint:a=1,b=2,w=0.5,M=40,N=50', 'rademacher'))]; "
+            "print(codes, type(ensemble._lapack()).__name__, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=cwd, env=_child_env(cwd))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 []", proc.stdout
+    last = proc.stdout.strip().splitlines()[-1]
+    if "_ScipyLapack" in last:
+        pytest.skip(f"numpy's OpenBLAS exports no LAPACKE routines here: {last}")
+    assert last == "[0, 0, 0] _OpenblasLapack []", proc.stdout
 
 
 def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
@@ -208,32 +213,52 @@ def test_flow_verify_manifest(tmp_path):
     assert "summary:" in proc.stdout
 
 
-def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
-    def failing_eigvalsh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+class _FailingLapack:
+    """The routines of ensemble._lapack(), with `routine` failing on its call number `at`
+    (0-based) of this process, as LAPACK does: its input destroyed and info != 0."""
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    def __init__(self, routine, at):
+        self.lapack, self.routine, self.at, self.calls = edgekit.ensemble._lapack(), routine, at, 0
+
+    def __getattr__(self, name):
+        real = getattr(self.lapack, name)
+        if name != self.routine:
+            return real
+
+        def failing(A, *args):
+            self.calls += 1
+            if self.calls - 1 == self.at:
+                A[...] = np.nan
+                raise np.linalg.LinAlgError(f"{name} returned info=1")
+            return real(A, *args)
+        return failing
+
+
+def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
+    # a dense replicate's tridiagonal reduction fails in the second block of replicates:
+    # the error names the replicate, not the block
+    failing = _FailingLapack("sytrd", at=70)
+    monkeypatch.setattr(edgekit.ensemble, "_lapack", lambda: failing)
     (tmp_path / "checks.json").write_text(json.dumps(
-        [{"check": "optical", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": 1}]))
+        [{"check": "optical", "spectrum": "twopoint:a=1,b=2,w=0.5,M=20,N=20", "t": 0.5,
+          "reps": 100, "seed": 1}]))
     code = cli.main(["flow-verify", "--manifest", str(tmp_path / "checks.json"),
                      "--threads", "1", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONVERGENCE
-    assert capsys.readouterr().err.startswith("convergence failure: replicate 0: Eigenvalues")
+    assert capsys.readouterr().err.startswith(
+        "convergence failure: replicate 70: sytrd returned info=1")
 
 
 def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
-    import scipy.linalg
-
-    def failing_eigh(a, *args, **kwargs):
-        a[...] = np.nan  # with overwrite_a, a failed LAPACK call may leave its input destroyed
-        raise np.linalg.LinAlgError("the algorithm failed to converge")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    # with a failed LAPACK call's input destroyed, the message still describes the Gram
+    failing = _FailingLapack("syevr_top", at=0)
+    monkeypatch.setattr(edgekit.ensemble, "_lapack", lambda: failing)
     code = cli.main(["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5",
                      "--threads", "1", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONVERGENCE
     err = capsys.readouterr().err
-    assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed"), err
+    assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed: "
+                          "syevr_top returned info=1"), err
     # the message describes the Gram of replicate 0 (of its reduced Gaussian factor),
     # not what the eigensolver left of it
     F = edgekit.ensemble.gaussian_factor(edgekit.identity_spectrum(20, 20), 0, 0)
@@ -386,13 +411,20 @@ def test_detect_dense_draw_runs_on_one_blas_thread(tmp_path):
     assert last == "0 [1] 2", last
 
 
+# makes ensemble._lapack() find no routine in numpy's OpenBLAS, so that it takes scipy's
+_HIDE_NUMPY_LAPACK = ("ensemble._OpenblasLapack.SYMBOLS = "
+                      "tuple(name + '_hidden' for name in ensemble._OpenblasLapack.SYMBOLS)")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
 def test_top_eigenvalues_pins_the_scipy_it_loads(tmp_path):
-    # scipy.linalg first loads inside top_eigenvalues, with the BLAS variables unset: the
-    # pin still covers scipy's OpenBLAS, so the solve runs on one thread
+    # where numpy's OpenBLAS lacks the LAPACK routines (hidden here), scipy.linalg first
+    # loads inside top_eigenvalues, with the BLAS variables unset: the pin still covers
+    # scipy's OpenBLAS, so the solve runs on one thread
     cwd = tmp_path
     last = _run_python([
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
+        _HIDE_NUMPY_LAPACK,
         "assert 'scipy.linalg' not in sys.modules",
         "seen, solve = [], ensemble._solve_top",
         "def reading(*args):",
@@ -414,11 +446,13 @@ def test_top_eigenvalues_pins_the_scipy_it_loads(tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
 def test_covariance_replicate_pins_the_scipy_it_loads(tmp_path):
     # a serial map_replicates over Gaussian covariance replicates, in a process where
-    # scipy.linalg first loads inside the first job: every OpenBLAS, numpy's and the one
-    # that job loads, is on one thread during each solve
+    # numpy's OpenBLAS lacks the LAPACK routines (hidden here), so that scipy.linalg first
+    # loads inside the first job: every OpenBLAS, numpy's and the one that job loads, is
+    # on one thread during each solve
     cwd = tmp_path
     last = _run_python([
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
+        _HIDE_NUMPY_LAPACK,
         "assert 'scipy.linalg' not in sys.modules",
         "seen, solve = [], ensemble._solve_top",
         "def reading(*args):",
@@ -599,7 +633,8 @@ def test_edge_rejection_is_first_on_stderr(tmp_path, scale):
 
 def test_constant_compare_starts_no_pool(tmp_path, monkeypatch):
     # a constant population's replicates are drawn in the calling process at any
-    # thread count, with the same bytes; a dense half still goes through the pool
+    # thread count, with the same bytes; a dense half of more than one block of
+    # replicates (green._BLOCK) still goes through the pool
     from edgekit import ensemble
     pools = []
 
@@ -613,7 +648,7 @@ def test_constant_compare_starts_no_pool(tmp_path, monkeypatch):
     for spectrum in ("identity:M=60,N=50", "twopoint:a=1,b=2,w=0.5,M=40,N=40"):
         for threads in ("1", "2"):
             out = tmp_path / f"{spectrum[:8]}{threads}"
-            assert cli.main(["compare", "--spectrum", spectrum, "--reps", "30", "--seed", "4",
+            assert cli.main(["compare", "--spectrum", spectrum, "--reps", "130", "--seed", "4",
                              "--threads", threads, "--out", str(out)]) == cli.EXIT_OK
             outputs[spectrum, threads] = (out / "compare.json").read_bytes()
         assert outputs[spectrum, "1"] == outputs[spectrum, "2"]

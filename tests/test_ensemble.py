@@ -305,8 +305,6 @@ def test_replicates_fault_in_no_memory():
 
     config = _config(ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), replicates=40, seed=6)
     jobs = [(config, r) for r in range(config.replicates)]
-    import scipy.linalg  # noqa: F401  (loaded before counting, not by the first job)
-
     map_replicates(ensemble.covariance_replicate, jobs[:2], 1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     map_replicates(ensemble.covariance_replicate, jobs, 1)
@@ -321,8 +319,43 @@ def test_one_replicate_engine():
         counts = {path.name: path.read_text().count(token) for path in sorted(src.glob("*.py"))}
         assert {name: n for name, n in counts.items() if n} == {"ensemble.py": 1}, token
     assert _functions_containing("set_num_threads") == {"ensemble._one_blas_thread"}
+    # so is every binding to a LAPACK library, and the one import of scipy's
+    assert _functions_containing("ctypes.CDLL(") == {"ensemble._one_blas_thread", "ensemble._lapack"}
+    assert _functions_containing("scipy.linalg import") == {"ensemble._ScipyLapack.__init__"}
     # replicates solve for their top k only
     assert "np.linalg.eigvalsh(" not in (src / "ensemble.py").read_text()
+
+
+def _lapack_outputs():
+    """Tridiagonals and top eigenvalues of two-point Gaussian replicates at M < N, M = N
+    and M > N (where factor_gram adds a dsyrk), through ensemble._lapack()."""
+    out = []
+    for M, N in ((40, 50), (50, 50), (60, 50)):
+        spec = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
+        out += [*ensemble.gaussian_tridiagonals(spec, 3, range(3)),
+                ek.run_monte_carlo(_config(spec, k=3, seed=3)).raw]
+    return out
+
+
+def test_scipy_lapack_matches_numpy_openblas(monkeypatch):
+    # with numpy's LAPACK symbols hidden, the routines resolve to scipy.linalg's and give
+    # the same tridiagonals (d, e) and top eigenvalues
+    ensemble._lapack.cache_clear()
+    native = ensemble._lapack()
+    if not isinstance(native, ensemble._OpenblasLapack):
+        pytest.skip("numpy's OpenBLAS exports no LAPACKE routines here")
+    mine = _lapack_outputs()
+    monkeypatch.setattr(ensemble._OpenblasLapack, "SYMBOLS",
+                        tuple(name + "_hidden" for name in ensemble._OpenblasLapack.SYMBOLS))
+    ensemble._lapack.cache_clear()
+    try:
+        assert isinstance(ensemble._lapack(), ensemble._ScipyLapack)
+        theirs = _lapack_outputs()
+    finally:
+        ensemble._lapack.cache_clear()
+    for a, b in zip(mine, theirs):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def _functions_containing(token: str) -> set:
@@ -359,7 +392,10 @@ def _functions_containing(token: str) -> set:
                     "ensemble.laguerre_tridiagonals", "ensemble.gaussian_factor"}),
     ("np.less(q, 0.0", {"ensemble._negative_pivots"}),                   # Sturm counts
     ("[:, None], X", {"ensemble.top_eigenvalues"}),                      # B = Sigma^{1/2} X
-    ("dlauum(", {"ensemble.factor_gram"}),                               # F^T F of the factor
+    ("dlauum(", {"ensemble._ScipyLapack.lauum"}),                        # F^T F of the factor,
+    (".lauum(", {"ensemble.factor_gram"}),                               # on either platform
+    (".sytrd(", {"ensemble.gaussian_tridiagonals"}),                     # dense tridiagonals
+    (".syevr_top(", {"ensemble._solve_top"}),                            # top k of a Gram
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -521,7 +557,34 @@ _TRIDIAGONAL_CASES = {
     # d = 0 and e = 1: the Gershgorin interval is symmetric, so the first bisection
     # point is x = 0 exactly and the first pivot d_1 - x is an exact zero
     "zero-pivot": lambda: (np.zeros((7, 2)), np.ones((6, 2))),
+    # the top 1 and top 3 of each column are rejected on the leading rows
+    "rejected": lambda: _spiked_rows(),
 }
+
+
+def _spiked_rows():
+    # N = 400, whose leading block is 118 rows: a diagonal entry of 10 at row 390 in
+    # column 0 and at row 200 in column 1 puts the top eigenvalue (about 10.05) outside
+    # the block, and for column 0 outside twice the block too
+    d, e = _goe_rows(400, 2, 8)
+    d[390, 0] = d[200, 1] = 10.0
+    return d, e
+
+
+def test_tridiagonal_top_doubles_the_rows_of_rejected_matrices(monkeypatch):
+    # each pass bisects twice the rows of the last, and only the matrices still rejected
+    sizes, bisect = [], ensemble._bisect
+
+    def recording(d, *args):
+        sizes.append(d.shape)
+        return bisect(d, *args)
+
+    monkeypatch.setattr(ensemble, "_bisect", recording)
+    d, e = _spiked_rows()
+    top = ensemble.tridiagonal_top(d, e, 1)
+    assert sizes == [(118, 2), (236, 2), (400, 1)]
+    assert np.allclose(top[:, 0], [np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))[-1]
+                                   for dr, er in zip(d.T, e.T)], rtol=1e-13)
 
 
 @pytest.mark.parametrize("case", list(_TRIDIAGONAL_CASES))

@@ -266,8 +266,9 @@ def test_decoupling_bases_match_dense_law(name):
 
 
 def test_green_draws_no_dense_gaussian_matrix(monkeypatch):
-    # every Gaussian replicate in green is a reduced factor solved for its eigenvalues,
-    # or one resampled row: no eigenvectors, no M x N normal draw, no workspace array
+    # every Gaussian replicate in green is a reduced factor, reduced to its tridiagonal
+    # or solved for its eigenvalues, or one resampled row: no eigenvectors, no M x N
+    # normal draw, no workspace array
     text = Path(green.__file__).read_text()
     assert "eigh(" not in text and "workspace(" not in text and ".sample(" not in text
     sizes = []
@@ -393,17 +394,29 @@ def test_compare_seeds_share_no_draw(monkeypatch):
 @pytest.mark.parametrize("M, N", [(150, 200), (200, 200), (250, 200)],
                          ids=["M<N", "M=N", "M>N"])
 def test_tridiagonal_trace_matches_dense_eigenvalues(M, N):
-    # the pivot recurrence against sum_j 1/(lambda_j - z) over a dense eigensolve of the
-    # same tridiagonal matrices (for M < N, N - M of their rows are zero), around the edge
-    d, e = laguerre_tridiagonals(M, N, 7, range(4))
-    lam = np.array([np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))
-                    for dr, er in zip(d.T, e.T)])
-    edge = (1.0 + np.sqrt(M / N)) ** 2
-    for eta, bound in ((1.0, 1e-12), (0.02, 1e-12), (1e-3, 1e-9), (1e-6, 1e-9)):
-        z = edge + np.linspace(-0.1, 0.1, 9) + 1j * eta
-        want = (1.0 / (lam[:, :, None] - z)).sum(axis=1)
-        got = green._tridiagonal_trace(d, e, z)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= bound, eta
+    # the Taylor pivot recurrence against sum_j (lambda_j - z)^{-k} over a dense eigensolve
+    # of the same tridiagonal matrices, around the edge: the Laguerre tridiagonals of an
+    # identity population and the dsytrd ones of a two-point population's factors (for
+    # M < N, N - M of their rows are zero).  Powers 1..4 down to about the edge window's
+    # eta (0.022 at N = 200); below it only power 1, since an eigenvalue's rounding moves
+    # the k-th power's sum by about eta^{-k-1} in both computations
+    two_point = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
+    for d, e in (laguerre_tridiagonals(M, N, 7, range(4)),
+                 ensemble.gaussian_tridiagonals(two_point, 7, range(4))):
+        lam = np.array([np.linalg.eigvalsh(np.diag(dr) + np.diag(er, 1) + np.diag(er, -1))
+                        for dr, er in zip(d.T, e.T)])
+        edge = lam.max(axis=1).mean()
+        # (eta, the bound for power 1, then for powers 2..4 where they are checked)
+        for eta, bounds in ((1.0, (1e-12, 1e-10)), (0.02, (1e-12, 1e-10)), (1e-3, (1e-9,)),
+                            (1e-6, (1e-9,))):
+            z = edge + np.linspace(-0.1, 0.1, 9) + 1j * eta
+            powers = 4 if len(bounds) == 2 else 1
+            got = green._tridiagonal_trace(d, e, z, powers)
+            assert got.shape == (4, 9, powers)
+            for k in range(1, powers + 1):
+                want = (1.0 / (lam[:, :, None] - z) ** k).sum(axis=1)
+                err = np.max(np.abs(got[:, :, k - 1] - want) / np.abs(want))
+                assert err <= bounds[min(k, 2) - 1], (eta, k)
 
 
 def test_comparison_functional_degenerate():
