@@ -9,7 +9,7 @@ from .tracy_widom import PainleveSolution, TWTable, airy_kernel_f2, hastings_mcl
 from .ensemble import (EdgeSamples, EnsembleConfig, EntryDistribution, KsReport, ks_statistic,
                        rescale_edge, run_monte_carlo, sample_data_matrix, sample_goe_top,
                        smoothed_count, top_eigenvalues, two_sample_ks)
-from .flow import FlowState, coefficient_identities_check, flow_state, gamma_dot_check, zdot_check
+from .flow import FlowState, coefficient_identities_check, flow_state, zdot_check
 from .green import (CheckReport, GreenObservables, Linearization, build_linearization,
                     cancellation_check, comparison_functional, decoupling_residual,
                     flow_checks, local_law_probe, observables, optical_residual, verify_schur,

@@ -214,14 +214,8 @@ def cmd_compare(args) -> int:
 
 def cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest_path).read_text())
-    params = dict(manifest["parameters"])
-    # simulate and compare once took --N; the spectrum now fixes it
-    legacy_n = params.pop("N", None)
-    if legacy_n is not None and legacy_n != load_spectrum(params["spectrum"]).N:
-        raise DomainRejectionError(
-            f"manifest parameter N={legacy_n} differs from the N of spectrum {params['spectrum']!r}")
     argv = [manifest["command"]]
-    for key, value in sorted(params.items()):
+    for key, value in sorted(manifest["parameters"].items()):
         if value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")

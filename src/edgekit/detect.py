@@ -8,7 +8,9 @@ call, never read from disk, so the output depends only on the flags: a few
 thousand tridiagonal GOE draws go through one vectorized Sturm bisection
 (`ensemble.tridiagonal_top`), which halves on the leading ~16 N^{1/3} rows of
 each draw and certifies the result with one count over all N rows, so the
-table is that of the full matrices, bit for bit.
+table is that of the full matrices, bit for bit.  The observed draw is a
+replicate of the Monte Carlo engine (`ensemble.covariance_replicate`, k = 3)
+on a stream that no table reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainRejectionError
-from .ensemble import (OBSERVED_STREAM, EnsembleConfig, gaussian_factor, map_replicates,
+from .ensemble import (OBSERVED_STREAM, EnsembleConfig, covariance_replicate, map_replicates,
                        sample_goe_top)
 from .population import PopulationSpectrum
 
@@ -55,8 +57,7 @@ def calibrate_null(N: int, replicates: int, seed: int) -> np.ndarray:
 
 
 def _observed_draw(config: EnsembleConfig) -> np.ndarray:
-    F = gaussian_factor(config.spectrum, config.seed, OBSERVED_STREAM)
-    return np.linalg.svd(F, compute_uv=False)[:3] ** 2
+    return covariance_replicate((config, OBSERVED_STREAM))
 
 
 _observed_draw.job_name = "observed draw"  # how map_replicates names a failed job
@@ -66,10 +67,10 @@ def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
     """Top 3 eigenvalues of X^* Sigma X for the Gaussian draw from stream
     (seed, OBSERVED_STREAM), which no null table reads.
 
-    The draw is the reduced factor F of `gaussian_factor`, whose Gram has the
-    nonzero spectrum of X^* Sigma X in law; its top 3 are the squares of F's
-    largest singular values, by numpy's svd, so no Gram is formed here and no
-    scipy is loaded.  It runs as one job of `map_replicates`, under the BLAS pin.
+    The draw is `ensemble.covariance_replicate` at k = 3, the replicate a
+    simulation reads: the Gram of a reduced factor, solved for its top 3 alone,
+    with no scipy loaded.  It runs as one job of `map_replicates`, under the
+    BLAS pin.
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
     return map_replicates(_observed_draw, [config], 1)[0]

@@ -1,14 +1,15 @@
 """Sample covariance ensembles, the replicate engine and edge-statistics Monte Carlo.
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
-Every replicate's matrix is built here.  A Gaussian replicate, wherever only its
-spectrum is wanted, is the reduced triangular factor F of `gaussian_factor`
-(`detect` takes its singular values, `simulate` its Gram by `factor_gram`, a
-decoupling base its Gram by `gram`); other entry laws draw X, and
-`top_eigenvalues` takes the Gram of Sigma^{1/2} X by `gram`.  The flow checks
-and `compare` take `gaussian_tridiagonals`: a constant population's Gram F^T F
-drawn in tridiagonal form, any other's `factor_gram` reduced to it by dsytrd.
-LAPACK (dsytrd, dlauum, dsyevr) and dsyrk come from numpy's own OpenBLAS
+Every replicate's matrix is built here.  A Gaussian replicate is the reduced
+triangular factor F of `gaussian_factor`, read in one of two ways:
+`covariance_replicate` solves its Gram (by `factor_gram`) for the top k, for
+`simulate` and `detect`; `gaussian_tridiagonals` draws the Gram F^T F in
+tridiagonal form (a constant population's directly, any other's by dsytrd of
+`factor_gram`), whose pivots give the flow checks' and `compare`'s traces, and
+whose full spectrum by dsterf (`gaussian_spectrum`) is a decoupling base's.
+Other entry laws draw X, and `top_eigenvalues` solves the Gram of Sigma^{1/2} X.
+LAPACK (dsytrd, dsterf, dlauum, dsyevr) and dsyrk come from numpy's own OpenBLAS
 through ctypes, found on first use, so no replicate loads scipy; where that
 library lacks them, from scipy.linalg (`_lapack`).
 
@@ -231,11 +232,11 @@ def _order(A: np.ndarray) -> int:
 
 
 class _OpenblasLapack:
-    """LAPACK's dsytrd, dlauum and dsyevr (through LAPACKE) and BLAS's dsyrk (through
+    """LAPACK's dsytrd, dsterf, dlauum and dsyevr (through LAPACKE) and BLAS's dsyrk (through
     CBLAS) of numpy's OpenBLAS, whose integers are 64-bit, called by ctypes.  Each
     routine takes Fortran-ordered matrices and works in place."""
 
-    SYMBOLS = ("scipy_LAPACKE_dsytrd64_", "scipy_LAPACKE_dlauum64_",
+    SYMBOLS = ("scipy_LAPACKE_dsytrd64_", "scipy_LAPACKE_dsterf64_", "scipy_LAPACKE_dlauum64_",
                "scipy_LAPACKE_dsyevr64_", "scipy_cblas_dsyrk64_")
 
     def __init__(self, lib):
@@ -245,13 +246,14 @@ class _OpenblasLapack:
         i64, char, enum, real = ctypes.c_int64, ctypes.c_char, ctypes.c_int, ctypes.c_double
         signatures = (
             [enum, char, i64, matrix, i64, vector, vector, vector],
+            [i64, vector, vector],
             [enum, char, i64, matrix, i64],
             [enum, char, char, char, i64, matrix, i64, real, real, i64, i64, real,
              ctypes.POINTER(i64), vector, vector, i64, index],
             [enum, enum, enum, i64, i64, real, matrix, i64, real, matrix, i64])
-        self._sytrd, self._lauum, self._syevr, self._syrk = (
-            getattr(lib, name) for name in self.SYMBOLS)
-        for fn, argtypes in zip((self._sytrd, self._lauum, self._syevr, self._syrk), signatures):
+        routines = [getattr(lib, name) for name in self.SYMBOLS]
+        self._sytrd, self._sterf, self._lauum, self._syevr, self._syrk = routines
+        for fn, argtypes in zip(routines, signatures):
             fn.argtypes, fn.restype = argtypes, i64
         self._syrk.restype = None
 
@@ -262,6 +264,14 @@ class _OpenblasLapack:
         d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
         _check_info("dsytrd", self._sytrd(_COLUMN_MAJOR, b"U", n, A, n, d, e, tau))
         return d, e
+
+    def sterf(self, d, e):
+        """The eigenvalues, ascending, of the symmetric tridiagonal with diagonal d and
+        off-diagonal e, in place of d; e is overwritten."""
+        if e.shape != (d.size - 1,):
+            raise ValueError(f"dsterf of a diagonal {d.shape} with off-diagonal {e.shape}")
+        _check_info("dsterf", self._sterf(d.size, d, e))
+        return d
 
     def lauum(self, A):
         """U U^T in place of A's upper triangle U."""
@@ -297,6 +307,11 @@ class _ScipyLapack:
         _, d, e, _, info = self._lapack.dsytrd(A, lwork=max(lwork, 1), overwrite_a=1)
         _check_info("dsytrd", info)
         return d, e
+
+    def sterf(self, d, e):
+        vals, info = self._lapack.dsterf(d, e, overwrite_d=1, overwrite_e=1)
+        _check_info("dsterf", info)
+        return vals
 
     def lauum(self, A):
         _check_info("dlauum", self._lapack.dlauum(A, overwrite_c=1)[1])
@@ -395,13 +410,6 @@ def sample_data_matrix(config: EnsembleConfig, replicate_index: int,
     return config.entries.sample(rng, config.spectrum.M, config.spectrum.N, out=out)
 
 
-def gram(B: np.ndarray) -> np.ndarray:
-    """B^T B in the workspace array "gram"; numpy forms it by BLAS syrk, so it is
-    exactly symmetric."""
-    n = B.shape[1]
-    return np.matmul(B.T, B, out=workspace("gram", (n, n)))
-
-
 def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.ndarray:
     """Top k eigenvalues of X^* Sigma X (Sigma diagonal = spectrum eigenvalues).
 
@@ -418,10 +426,12 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
         raise DomainRejectionError(f"k={k} exceeds min(M, N)={min(M, N)}")
     B = np.multiply(np.sqrt(sig)[:, None], X, out=workspace("scaled", (M, N)))
     narrow = B.T if M <= N else B  # B B^T for M <= N, else B^T B
+    n = min(M, N)
     with _lapack_on_one_blas_thread():
-        # LAPACK reads one triangle of a Fortran-ordered matrix; the Gram is exactly
-        # symmetric, so A.T is that matrix and is solved in place
-        return _solve_top(gram(narrow).T, k, True, lambda: narrow.T @ narrow)
+        # numpy forms the Gram by BLAS syrk, so it is exactly symmetric; LAPACK reads one
+        # triangle of a Fortran-ordered matrix, so A.T is that matrix and is solved in place
+        A = np.matmul(narrow.T, narrow, out=workspace("gram", (n, n)))
+        return _solve_top(A.T, k, True, lambda: narrow.T @ narrow)
 
 
 def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
@@ -596,6 +606,18 @@ def gaussian_tridiagonals(spec: PopulationSpectrum, seed: int,
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"replicate {index}: {exc}") from exc
     return d, e
+
+
+def gaussian_spectrum(spec: PopulationSpectrum, seed: int, index: int) -> np.ndarray:
+    """All N eigenvalues, ascending, of X^* Sigma X for the Gaussian replicate
+    (seed, index) of spec, its N - min(M, N) zeros among them: LAPACK's dsterf
+    (the eigenvalue-only tridiagonal QR of Parlett, The Symmetric Eigenvalue
+    Problem, 1980) of that replicate's `gaussian_tridiagonals` matrix, with
+    every OpenBLAS on one thread.
+    """
+    d, e = gaussian_tridiagonals(spec, seed, [index])
+    with _lapack_on_one_blas_thread():
+        return _lapack().sterf(d[:, 0], e[:, 0])
 
 
 _BISECTIONS = 64  # halvings to converge from the widened Gershgorin interval: at most ~56

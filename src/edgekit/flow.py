@@ -35,7 +35,6 @@ class FlowState:
     t: float
     N: int
     M: int
-    sigma_t: np.ndarray      # evolved population eigenvalues
     t_alpha: np.ndarray      # gamma(t) * sigma_alpha(t)
     xi_plus_t: float
     gamma_t: float
@@ -85,7 +84,7 @@ def flow_state(spec: PopulationSpectrum, t: float) -> FlowState:
     A = {k: float(np.sum(inv_gap ** k)) / N for k in range(2, 5)}
     L_plus = 1.0 / tau + float(np.sum(inv_gap)) / N
     gamma_dot = tau ** -4 * A[3] + tau ** -3 * A[4] - gamma
-    return FlowState(t=t, N=spec.N, M=spec.M, sigma_t=sig_t, t_alpha=t_alpha,
+    return FlowState(t=t, N=spec.N, M=spec.M, t_alpha=t_alpha,
                      xi_plus_t=xi, gamma_t=gamma, tau_t=tau, L_plus_t=L_plus,
                      gamma_dot_t=gamma_dot, A=A)
 
@@ -105,13 +104,8 @@ def coefficient_identities_check(state: FlowState):
     return abs(lhs1 - core), abs(lhs2 - core * (A4 - tau ** -4))
 
 
-def zdot_formula(state: FlowState) -> float:
-    """Edge speed: zdot = (1/N) sum_a (d_t t_a / t_a^2)(t_a^{-1} - tau)^{-2}."""
-    return state.weighted_coefficient(2)
-
-
 def zdot_check(spec: PopulationSpectrum, t: float, dt: float = 1e-4) -> float:
-    """|central difference of L_plus - formula zdot|; second-order small in dt."""
+    """|central difference of L_plus - formula zdot|, with zdot = B_2; second-order small in dt."""
     if not (1e-6 <= dt <= 1e-3):
         raise DomainRejectionError("dt must lie in [1e-6, 1e-3]")
     if t - dt < 0:
@@ -119,13 +113,5 @@ def zdot_check(spec: PopulationSpectrum, t: float, dt: float = 1e-4) -> float:
     state = flow_state(spec, t)
     lp = flow_state(spec, t + dt).L_plus_t
     lm = flow_state(spec, t - dt).L_plus_t
-    return abs((lp - lm) / (2.0 * dt) - zdot_formula(state))
+    return abs((lp - lm) / (2.0 * dt) - state.weighted_coefficient(2))
 
-
-def gamma_dot_check(spec: PopulationSpectrum, t: float, dt: float = 1e-4) -> float:
-    """Finite-difference validation of gamma' + gamma = tau^{-4} A_3 + tau^{-3} A_4."""
-    state = flow_state(spec, t)
-    gp = flow_state(spec, t + dt).gamma_t
-    gm = flow_state(spec, max(t - dt, 0.0)).gamma_t
-    fd = (gp - gm) / (2.0 * dt) if t >= dt else (gp - state.gamma_t) / dt
-    return abs(fd - state.gamma_dot_t)

@@ -32,10 +32,10 @@ and each block returns only its per-replicate scalars.
 
 The decoupling check resamples one row of X inside a frozen base: a rank-one
 change of X^* T X.  Its resampled rows are read in the base's eigenbasis, so
-each base is one job that solves the Gram of its reduced factor for its
-eigenvalues, and every resampled row follows from the one-row resolvent
-identity (the identity the decoupling expansion is built from) by O(N)
-spectral sums.
+each base is one job that takes the base's eigenvalues from the same
+tridiagonal by dsterf (`ensemble.gaussian_spectrum`), and every resampled row
+follows from the one-row resolvent identity (the identity the decoupling
+expansion is built from) by O(N) spectral sums.
 
 Every replicate's matrix comes from `ensemble`: in place of X, the reduced
 factor of `gaussian_factor` (X is orthogonally invariant).  Only `roman_green`
@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_factor,
-                       gaussian_tridiagonals, gram, map_replicates, replicate_rng)
+from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_spectrum,
+                       gaussian_tridiagonals, map_replicates, replicate_rng)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
@@ -242,13 +242,6 @@ def _avg_observables(tr1, tr2, tr3, tr4, N: int):
     return tr1 / N, X22, tr3 / N ** 3, tr4 / N ** 4, X22 ** 2
 
 
-def _gaussian_spectrum(spec: PopulationSpectrum, seed: int, index: int) -> np.ndarray:
-    """All N eigenvalues of the Gaussian replicate (seed, index) of spec: N - min(M, N)
-    zeros, then those of its reduced factor's Gram, ascending; a decoupling base's."""
-    lam = np.linalg.eigvalsh(gram(gaussian_factor(spec, seed, index)))
-    return np.concatenate([np.zeros(spec.N - lam.size), lam])
-
-
 def _blocks(indices) -> list:
     """indices cut into consecutive runs of _BLOCK, the replicates of one job."""
     return [indices[i:i + _BLOCK] for i in range(0, len(indices), _BLOCK)]
@@ -370,7 +363,7 @@ def _decoupling_base(args):
     D^(n) = t_alpha n! s_{n+1}.
 
     Only (lam, v) is read.  lam is the spectrum of the Gaussian replicate of the
-    other M - 1 rows, from their reduced factor (N zeros when M = 1).  The fresh
+    other M - 1 rows, by `gaussian_spectrum` (N zeros when M = 1).  The fresh
     row x ~ N(0, I/N) is independent of the base and rotation invariant, so v
     has the law of x itself, independent of lam: each drawn row serves as v,
     and neither X nor V is formed.
@@ -378,7 +371,7 @@ def _decoupling_base(args):
     state, z, seed, base, per_base, alpha = args
     N = state.N
     rest = np.sort(np.delete(state.t_alpha, alpha))[::-1]
-    lam = (_gaussian_spectrum(PopulationSpectrum(rest, state.M - 1, N), seed, BASE_STREAM + base)
+    lam = (gaussian_spectrum(PopulationSpectrum(rest, state.M - 1, N), seed, BASE_STREAM + base)
            if state.M > 1 else np.zeros(N))
     v = np.array([replicate_rng(seed, (base << 32) + r).standard_normal(N)
                   for r in range(per_base)]) / np.sqrt(N)

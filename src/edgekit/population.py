@@ -209,11 +209,6 @@ def load_spectrum(source) -> PopulationSpectrum:
     return PopulationSpectrum(eig, len(eig), N)
 
 
-def write_spectrum(spec: PopulationSpectrum, path) -> None:
-    lines = [f"# N={spec.N}"] + [repr(float(v)) for v in spec.eigenvalues]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _f_and_deriv(spec: PopulationSpectrum, x: float):
     f = spec.moment(lambda s: (s * x / (1.0 - s * x)) ** 2) - spec.d
     # s * s overflows only for sigma_1 > 1e154, where gamma0^-3 ~ sigma_1^3 overflows

@@ -9,7 +9,7 @@ import pytest
 
 import edgekit
 from edgekit import cli
-from edgekit.population import two_point_spectrum, write_spectrum
+from edgekit.population import two_point_spectrum
 
 # The child imports the same edgekit as this process (a src/ checkout or an
 # installed copy); the rest of its environment stays isolated.
@@ -40,7 +40,8 @@ def test_edge_identity(tmp_path):
 def test_edge_from_file_and_supercritical_exit(tmp_path):
     cwd = tmp_path
     spec = two_point_spectrum(1.0, 2.0, 0.5, 50, 50)
-    write_spectrum(spec, cwd / "spec.txt")
+    (cwd / "spec.txt").write_text("\n".join([f"# N={spec.N}"] + [repr(float(v)) for v in spec.eigenvalues])
+                                  + "\n")
     proc = run_cli(["edge", "--spectrum", "spec.txt", "--out", "out"], cwd)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["xi_plus"] == pytest.approx(0.28771294387, abs=1e-9)
@@ -267,10 +268,10 @@ def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
 
 
 def test_decoupling_failure_names_its_base(tmp_path, monkeypatch, capsys):
-    def failing_eigvalsh(*args, **kwargs):
+    def failing_sterf(self, d, e):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    monkeypatch.setattr(type(edgekit.ensemble._lapack()), "sterf", failing_sterf)
     (tmp_path / "checks.json").write_text(json.dumps(
         [{"check": "decoupling", "spectrum": "identity:M=20,N=20", "reps": 5, "seed": 1}]))
     code = cli.main(["flow-verify", "--manifest", str(tmp_path / "checks.json"),
@@ -361,7 +362,8 @@ def _run_python(lines, cwd):
 
 def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(tmp_path):
     # the null table is a tridiagonal bisection in this process, and the observed draw
-    # is numpy's svd of a reduced factor on any population: neither loads scipy
+    # is the engine's replicate, a reduced factor's Gram solved by numpy's OpenBLAS on
+    # any population: neither loads scipy
     cwd = tmp_path
     last = _run_python([
         "import sys; from edgekit import cli, ensemble",
@@ -383,11 +385,11 @@ def test_detect_on_identity_loads_no_scipy_and_starts_no_pool(tmp_path):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the BLAS pin reads /proc/self/maps")
 def test_detect_dense_draw_runs_on_one_blas_thread(tmp_path):
-    # the observed draw's svd runs on one numpy OpenBLAS thread, whatever the caller set,
-    # and the caller's count is back afterwards
+    # the observed draw's top-3 solve runs on one numpy OpenBLAS thread, whatever the
+    # caller set, and the caller's count is back afterwards
     cwd = tmp_path
     last = _run_python([
-        "import ctypes; import numpy as np; from edgekit import cli",
+        "import ctypes; from edgekit import cli, ensemble",
         "with open('/proc/self/maps') as maps:",
         "    paths = sorted({line.split()[-1] for line in maps",
         "                    if 'openblas64' in line and '.so' in line})",
@@ -398,11 +400,11 @@ def test_detect_dense_draw_runs_on_one_blas_thread(tmp_path):
         "    print('unfound'); raise SystemExit",
         "get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]",
         "set_(2)",
-        "seen, real = [], np.linalg.svd",
+        "seen, real = [], ensemble._solve_top",
         "def reading(*args, **kwargs):",
         "    seen.append(get())",
         "    return real(*args, **kwargs)",
-        "np.linalg.svd = reading",
+        "ensemble._solve_top = reading",
         "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
         "print(code, seen, get())"], cwd)
@@ -498,43 +500,6 @@ def test_manifest_rerun_reproduces(tmp_path):
     proc = run_cli(["rerun", "redo_manifest.json"], cwd)
     assert proc.returncode == 0, proc.stderr
     assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
-
-
-def test_parent_era_manifest_with_null_n_reruns(tmp_path):
-    # manifests written while simulate still had --N carry "N": null; rerun skips it
-    cwd = tmp_path
-    proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
-                    "--threads", "1", "--out", "orig"], cwd)
-    assert proc.returncode == 0, proc.stderr
-    manifest = {"command": "simulate", "out": str(cwd / "redo"), "seed": 11,
-                "parameters": {"N": None, "entries": "gaussian", "k": 1, "ks": False, "reps": 25,
-                               "seed": 11, "spectrum": "identity:M=90,N=90"}}
-    (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    proc = run_cli(["rerun", "old_manifest.json"], cwd)
-    assert proc.returncode == 0, proc.stderr
-    assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / "redo" / "samples.csv").read_bytes()
-
-
-def test_legacy_n_manifest_reruns_or_is_rejected(tmp_path):
-    # manifests written while simulate still took --N carry its value; rerun
-    # drops it when the spectrum has that N and rejects it otherwise
-    cwd = tmp_path
-    proc = run_cli(["simulate", "--spectrum", "identity:M=90,N=90", "--reps", "25", "--seed", "11",
-                    "--threads", "1", "--out", "orig"], cwd)
-    assert proc.returncode == 0, proc.stderr
-    for legacy_n, out in ((90, "redo"), (20, "rejected")):
-        manifest = {"command": "simulate", "out": str(cwd / out), "seed": 11,
-                    "parameters": {"N": legacy_n, "entries": "gaussian", "k": 1, "ks": False,
-                                   "reps": 25, "seed": 11, "spectrum": "identity:M=90,N=90"}}
-        (cwd / "old_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        proc = run_cli(["rerun", "old_manifest.json"], cwd)
-        if legacy_n == 90:
-            assert proc.returncode == 0, proc.stderr
-            assert (cwd / "orig" / "samples.csv").read_bytes() == (cwd / out / "samples.csv").read_bytes()
-        else:
-            assert proc.returncode == 2, proc.stderr
-            assert proc.stderr.startswith("domain rejection: manifest parameter N=20"), proc.stderr
-            assert not (cwd / out).exists()
 
 
 def test_negative_seed_is_domain_rejection(tmp_path):

@@ -322,17 +322,21 @@ def test_one_replicate_engine():
     # so is every binding to a LAPACK library, and the one import of scipy's
     assert _functions_containing("ctypes.CDLL(") == {"ensemble._one_blas_thread", "ensemble._lapack"}
     assert _functions_containing("scipy.linalg import") == {"ensemble._ScipyLapack.__init__"}
-    # replicates solve for their top k only
-    assert "np.linalg.eigvalsh(" not in (src / "ensemble.py").read_text()
+    # a replicate is solved for its top k or read from its tridiagonal, never densely
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for token in ("eigvalsh(", "eigh(", "svd("):
+            assert token not in text, (path.name, token)
 
 
 def _lapack_outputs():
-    """Tridiagonals and top eigenvalues of two-point Gaussian replicates at M < N, M = N
-    and M > N (where factor_gram adds a dsyrk), through ensemble._lapack()."""
+    """Tridiagonals, full spectra and top eigenvalues of two-point Gaussian replicates at
+    M < N, M = N and M > N (where factor_gram adds a dsyrk), through ensemble._lapack()."""
     out = []
     for M, N in ((40, 50), (50, 50), (60, 50)):
         spec = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
         out += [*ensemble.gaussian_tridiagonals(spec, 3, range(3)),
+                np.array([ensemble.gaussian_spectrum(spec, 3, i) for i in range(3)]),
                 ek.run_monte_carlo(_config(spec, k=3, seed=3)).raw]
     return out
 
@@ -396,6 +400,8 @@ def _functions_containing(token: str) -> set:
     (".lauum(", {"ensemble.factor_gram"}),                               # on either platform
     (".sytrd(", {"ensemble.gaussian_tridiagonals"}),                     # dense tridiagonals
     (".syevr_top(", {"ensemble._solve_top"}),                            # top k of a Gram
+    ("dsterf(", {"ensemble._ScipyLapack.sterf"}),                        # a tridiagonal's
+    (".sterf(", {"ensemble.gaussian_spectrum"}),                         # full spectrum
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -530,6 +536,22 @@ def test_laguerre_tridiagonal_is_factor_gram(M, N):
         want[:n, :n] = F.T @ F
         got = np.diag(d[:, 0]) + np.diag(e[:, 0], 1) + np.diag(e[:, 0], -1)
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(want), i
+
+
+@pytest.mark.parametrize("M, N", [(30, 40), (40, 40), (50, 40)], ids=["M<N", "M=N", "M>N"])
+@pytest.mark.parametrize("population", ["constant", "twopoint"])
+def test_gaussian_spectrum_is_factor_gram_spectrum(population, M, N):
+    # all N eigenvalues, ascending, of the Gram of the reduced factor built here entry
+    # by entry, with the N - min(M, N) zeros first, from the Laguerre tridiagonal of a
+    # constant population and from dsytrd's of any other
+    a, b = (1.5, 1.5) if population == "constant" else (1.0, 2.0)
+    spec = ek.two_point_spectrum(a, b, 0.5, M, N)
+    for i in (0, 7, 2 ** 63 + 1003):
+        F = reduced_factor(spec.eigenvalues, N, 5, i)
+        want = np.concatenate([np.zeros(N - F.shape[1]), np.linalg.eigvalsh(F.T @ F)])
+        got = ensemble.gaussian_spectrum(spec, 5, i)
+        assert got.shape == (N,) and np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[-1], i
 
 
 def _goe_rows(N, reps, seed):
