@@ -19,10 +19,9 @@ its own counter-based Philox stream (Salmon et al., SC 2011), built only by
 
     replicate r of a run or of a GOE / null table    (seed, r)
     compare, null-reference draw r                   (seed, NULL_STREAM + r)
-    bootstrap of a flow check or of compare          (seed, BOOTSTRAP_STREAM)
     detect, the observed draw                        (seed, OBSERVED_STREAM)
-    decoupling, frozen base b                        (seed, BASE_STREAM + b)
-    decoupling, resampled row r of base b            (seed, (b << 32) + r)
+    decoupling, base b < reps // 10 (10 to 200)      (seed, BASE_STREAM + b)
+    decoupling, the 50 resampled rows of base b      (seed, b << 32), in turn
 
 So outputs do not depend on --threads.  Nor do they depend on the BLAS thread
 count: on Linux the replicate engine pins every loaded OpenBLAS to one thread,
@@ -65,7 +64,6 @@ ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
 
 # the stream indices of the table above
 NULL_STREAM = 2 ** 62
-BOOTSTRAP_STREAM = 2 ** 63 + 1
 OBSERVED_STREAM = 2 ** 63 + 2
 BASE_STREAM = 2 ** 63 + 1000
 

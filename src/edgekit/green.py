@@ -18,7 +18,7 @@ Near the renormalized edge z = L_plus + y + i eta the per-index observables
 obey an optical theorem E[X3] - 1/N = (A_4 - tau^{-4}) E[X4] + O(Psi^5) for
 X3 = 2(X32 + X33), X4 = 3(X42 + 2 X43 + 4 X44 + X44'), and the flow-weighted
 combination N(B_3 X3 - B_4 X4) collapses below its naive size.  The checks
-here estimate both statements with bootstrap error bars and report
+here estimate both statements with closed-form standard errors and report
 PASS / FAIL / INCONCLUSIVE.  Both read the same index-averaged (X3, X4)
 replicates, so `flow_checks` returns the two reports from one sample.
 
@@ -48,15 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import (BASE_STREAM, BOOTSTRAP_STREAM, NULL_STREAM, gaussian_spectrum,
-                       gaussian_tridiagonals, map_replicates, replicate_rng)
+from .ensemble import (BASE_STREAM, NULL_STREAM, gaussian_spectrum, gaussian_tridiagonals,
+                       map_replicates, replicate_rng)
 from .errors import ConvergenceError, DomainRejectionError
 from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
 from .stieltjes import solve_mfc
 
 DEFAULT_EPS = 0.05
-_BOOTSTRAP = 1000
+_ROWS_PER_BASE = 50  # resampled rows of each frozen decoupling base (see decoupling_residual)
 _QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
 _BLOCK = 64  # replicates per job of the flow checks' and the comparison's dense draws
 
@@ -265,18 +265,24 @@ def _mc_x3_x4(state: FlowState, z: complex, reps: int, seed: int, threads: int =
     return arr[:, 0], arr[:, 1]
 
 
-def _bootstrap_sd(stat, samples_tuple, seed: int) -> float:
-    rng = replicate_rng(seed, BOOTSTRAP_STREAM)
-    n = samples_tuple[0].shape[0]
-    vals = np.empty(_BOOTSTRAP)
-    for b in range(_BOOTSTRAP):
-        idx = rng.integers(0, n, n)
-        vals[b] = stat(*(s[idx] for s in samples_tuple))
-    return float(np.std(vals))
+def _standard_error(x: np.ndarray) -> float:
+    """The standard error (ddof 1) of the mean of the independent draws x along its
+    noisiest direction: sqrt(l / n) for l the larger eigenvalue of the covariance
+    [[a, b], [b, c]] of (Re x, Im x), so std(x) / sqrt(n) for real x.  inf for one draw."""
+    n = x.shape[0]
+    if n < 2:
+        return float("inf")
+    (a, b), (_, c) = np.cov(x.real, x.imag)
+    return float(np.sqrt(((a + c) / 2.0 + np.hypot((a - c) / 2.0, b)) / n))
 
 
 @dataclass(frozen=True)
 class CheckReport:
+    """residual is the modulus of an estimated mean, ci its 1-sigma standard error
+    (`_standard_error`), not an interval: PASS if residual and 3 ci are within the
+    threshold, FAIL if residual exceeds both, else INCONCLUSIVE.  For a Gaussian mean
+    of true value 0, residual > 3 ci has probability at most e^{-4.5} ~ 1.1%."""
+
     check: str
     N: int
     t: float
@@ -310,32 +316,24 @@ def flow_checks(state: FlowState, reps: int, seed: int, eps: float = DEFAULT_EPS
     cancellation: the flow-weighted combination N * Im(B_3 X3 - B_4 X4) against
     its naive size M * Psi^3 * (|B_3| + |B_4|), the power-counting magnitude
     with no cancellation.  Identity populations have B_3 = B_4 = 0
-    identically, and their check reads the combination itself, with no
-    bootstrap.
+    identically, and their check reads the combination itself, with ci 0.
     """
     z = edge_window_z(state, eps)
     X3, X4 = _mc_x3_x4(state, z, reps, seed, threads)
     coef = state.A[4] - state.tau_t ** -4
     B3, B4 = state.weighted_coefficient(3), state.weighted_coefficient(4)
-
-    def optical_gap(a, b):
-        return abs(a.mean() - 1.0 / state.N - coef * b.mean())
-
-    def combination(a, b):
-        return state.N * abs(B3 * a.mean().imag - B4 * b.mean().imag)
-
-    resid = float(optical_gap(X3, X4))
+    resid = float(abs(X3.mean() - 1.0 / state.N - coef * X4.mean()))
     leading = float(np.mean(np.abs(X3)))
-    ci = _bootstrap_sd(optical_gap, (X3, X4), seed)
+    ci = _standard_error(X3 - coef * X4)
     optical = CheckReport("optical", state.N, state.t, leading, resid, ci,
                           _status(resid, ci, leading / 10.0))
-    actual = float(combination(X3, X4))
+    actual = float(state.N * abs(B3 * X3.mean().imag - B4 * X4.mean().imag))
     if max(abs(B3), abs(B4)) < 1e-13:
         # an identity population: B_3 = B_4 = 0 up to solver noise, and so is the combination
         return optical, CheckReport("cancellation", state.N, state.t, 0.0, actual, 0.0,
                                     "PASS" if actual <= 1e-10 else "FAIL")
     naive = float(state.M * control_parameter(state, z) ** 3 * (abs(B3) + abs(B4)))
-    ci = _bootstrap_sd(combination, (X3, X4), seed)
+    ci = _standard_error(state.N * (B3 * X3.imag - B4 * X4.imag))
     return optical, CheckReport("cancellation", state.N, state.t, naive, actual, ci,
                                 _status(actual, ci, naive / 10.0))
 
@@ -365,16 +363,16 @@ def _decoupling_base(args):
     Only (lam, v) is read.  lam is the spectrum of the Gaussian replicate of the
     other M - 1 rows, by `gaussian_spectrum` (N zeros when M = 1).  The fresh
     row x ~ N(0, I/N) is independent of the base and rotation invariant, so v
-    has the law of x itself, independent of lam: each drawn row serves as v,
-    and neither X nor V is formed.
+    has the law of x itself, independent of lam: each row, drawn in turn from the
+    stream (seed, base << 32), serves as v, and neither X nor V is formed.
     """
     state, z, seed, base, per_base, alpha = args
     N = state.N
     rest = np.sort(np.delete(state.t_alpha, alpha))[::-1]
     lam = (gaussian_spectrum(PopulationSpectrum(rest, state.M - 1, N), seed, BASE_STREAM + base)
            if state.M > 1 else np.zeros(N))
-    v = np.array([replicate_rng(seed, (base << 32) + r).standard_normal(N)
-                  for r in range(per_base)]) / np.sqrt(N)
+    rows = replicate_rng(seed, base << 32)
+    v = np.array([rows.standard_normal(N) for _ in range(per_base)]) / np.sqrt(N)
     g_pow = (1.0 / (lam - z))[:, None] ** np.arange(1, 6)  # (N, 5): g_j^p for p = 1..5
     s = (v ** 2 @ g_pow).T                                  # (5, per_base): s_1 .. s_5
     ta = state.t_alpha[alpha]
@@ -408,31 +406,30 @@ def decoupling_residual(state: FlowState, reps: int, seed: int, eps: float = DEF
     configurations, since the expansion bounds the error in probability over
     the whole ensemble and a single frozen base can sit in an atypical
     (edge-resonant) corner at desk scale.  Both sides are averaged over the
-    Roman index.  leading is the magnitude of the order-Psi^2 term.
+    Roman index.  leading is the magnitude of the order-Psi^2 term.  Each frozen
+    base is one job (`_decoupling_base`), and a failure names its base.
 
-    Resampling row alpha is a rank-one change of X^* T X, so each frozen base
-    is one job: the eigenvalues of the base with row alpha zeroed, then every
-    resampled row by the one-row resolvent identity, as one batched matrix
-    product and O(N) sums per row (see `_decoupling_base`).  A failure names
-    its base.
+    reps sets the number of bases, the cost; each reads _ROWS_PER_BASE rows.  Measured
+    (one BLAS thread), a base costs 1.0-1.3 ms on identity N=200, 2.7-3.3 ms on two-point
+    N=200 and 11-12 ms at N=400, a row 5-20 us, and the within-base variance of lhs - rhs
+    is 16-24, 70-220 and 140-410 times the between-base one: Cochran's two-stage optimum
+    sqrt(c_base/c_row * S_w^2/S_b^2) (Sampling Techniques, 1977, ch. 10) is 42-74 rows
+    on identity, more on two-point.
 
     alpha is the most stable Greek branch (largest gap t_alpha^{-1} - tau),
     where the expansion parameter is smallest.
     """
     alpha = int(np.argmin(state.t_alpha))
-    # between-base variance dominates the estimate, so spread the budget over
-    # many frozen configurations: ten rows a base, up to 200 bases
     bases = int(np.clip(reps // 10, 10, 200))
     z = edge_window_z(state, eps)
-    per_base = max(1, reps // bases)
-    jobs = [(state, z, seed, b, per_base, alpha) for b in range(bases)]
+    jobs = [(state, z, seed, b, _ROWS_PER_BASE, alpha) for b in range(bases)]
     arr = np.array(map_replicates(_decoupling_base, jobs, threads))
     diff_by_base = (arr[:, :, 0] - arr[:, :, 1]).mean(axis=1)
     resid = float(abs(diff_by_base.mean()))
     # power-counting magnitude of the order-Psi^2 term (no phase cancellation)
     leading = float(np.mean(np.abs(arr[:, :, 2])))
-    # block bootstrap over bases: draws within one base share the frozen part
-    ci = _bootstrap_sd(lambda d: abs(d.mean()), (diff_by_base,), seed)
+    # rows of one base share its frozen part, so the independent draws are the base means
+    ci = _standard_error(diff_by_base)
     psi = control_parameter(state, z)
     slack = min(psi ** 3 * state.N ** 0.2, 0.1)
     return CheckReport("decoupling", state.N, state.t, leading, resid, ci,
@@ -504,8 +501,9 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
                           eps: float = DEFAULT_EPS, threads: int = 1):
     """Monte Carlo means of N int_{E1}^{E2} Im m(x + edge + i eta) dx for the
     renormalized covariance X^* T X and for the null reference, the same
-    functional of the renormalized identity population, with their gap and a
-    bootstrap error bar (the smooth-function comparison at F = identity).
+    functional of the renormalized identity population, with their gap and its
+    standard error (the smooth-function comparison at F = identity); the two
+    halves draw from disjoint streams, so their errors add in quadrature.
 
     A constant population (the null reference always; both halves on identity)
     is drawn as the tridiagonal J of Q from its factor's chi-square variates
@@ -533,5 +531,5 @@ def comparison_functional(spec: PopulationSpectrum, E1: float, E2: float, reps: 
     null = _functional_samples(null_state, xs, weights, eta, seed,
                                range(NULL_STREAM, NULL_STREAM + reps), threads)
     gap = float(tilde.mean() - null.mean())
-    ci = _bootstrap_sd(lambda a, b: a.mean() - b.mean(), (tilde, null), seed)
+    ci = float(np.hypot(_standard_error(tilde), _standard_error(null)))
     return float(tilde.mean()), float(null.mean()), gap, ci

@@ -142,9 +142,13 @@ def test_optical_identity_and_twopoint():
     report = ek.optical_residual(ek.flow_state(spec, 0.0), reps=2000, seed=41)
     assert report.status == "PASS"
     assert report.residual <= report.leading / 10.0
-    tp = ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200)
-    report_tp = ek.optical_residual(ek.flow_state(tp, 0.5), reps=600, seed=43)
-    assert report_tp.status == "PASS"
+    # two-point: at 600 replicates 3 ci exceeds the threshold leading/10, so the
+    # check cannot resolve the identity there; the CLI's 2000 can
+    tp = ek.flow_state(ek.two_point_spectrum(1.0, 2.0, 0.5, 200, 200), 0.5)
+    report_tp = ek.optical_residual(tp, reps=600, seed=43)
+    assert report_tp.status == "INCONCLUSIVE"
+    assert 3.0 * report_tp.ci > report_tp.leading / 10.0
+    assert ek.optical_residual(tp, reps=2000, seed=43).status == "PASS"
 
 
 def test_optical_coefficient_is_deterministic():
@@ -169,6 +173,23 @@ def test_decoupling_identity():
     report = ek.decoupling_residual(state, reps=2000, seed=51)
     assert report.status == "PASS"
     assert report.residual <= report.leading / 10.0
+
+
+def test_decoupling_negative_control(monkeypatch):
+    # the check has power: at green_mc's budget (identity N=200, 2000 replicates,
+    # seed 7) it passes, and scaling the order-Psi^2 term c^2 X22 of every row's
+    # rhs by 1.5 makes it fail
+    state = ek.flow_state(ek.identity_spectrum(200, 200), 0.0)
+    assert ek.decoupling_residual(state, reps=2000, seed=7).status == "PASS"
+    base = green._decoupling_base
+
+    def perturbed(args):
+        triples = base(args)
+        triples[:, 1] += 0.5 * triples[:, 2]
+        return triples
+
+    monkeypatch.setattr(green, "_decoupling_base", perturbed)
+    assert ek.decoupling_residual(state, reps=2000, seed=7).status == "FAIL"
 
 
 def test_decoupling_far_regime_scale_collapse():
@@ -198,7 +219,7 @@ _RANK_ONE_CASES = [
 def test_decoupling_rank_one_matches_dense():
     # each resampled row against a dense eigensolve of diag(lam) + t_alpha v v^T, with
     # lam the base's spectrum rebuilt from its reduced factor, entry by entry, and v
-    # the row drawn from its stream
+    # the next row of the base's stream
     per_base = 4
     for case, (spec, t, seed, base, eta) in enumerate(_RANK_ONE_CASES):
         state = ek.flow_state(spec, t)
@@ -207,14 +228,15 @@ def test_decoupling_rank_one_matches_dense():
         if eta is not None:
             z = complex(z.real, eta)
         triples = green._decoupling_base((state, z, seed, base, per_base, alpha))
+        rows = replicate_rng(seed, base << 32)
         lam = np.zeros(N)
         if state.M > 1:
             F = reduced_factor(np.delete(state.t_alpha, alpha), N, seed, 2 ** 63 + 1000 + base)
             lam[N - F.shape[1]:] = np.linalg.eigvalsh(F.T @ F)
         ta = state.t_alpha[alpha]
         dense = []
-        for r in range(per_base):
-            v = replicate_rng(seed, (base << 32) + r).standard_normal(N) / np.sqrt(N)
+        for _ in range(per_base):
+            v = rows.standard_normal(N) / np.sqrt(N)
             dense.append(decoupling_triple(np.diag(lam) + ta * np.outer(v, v), v, ta,
                                            state.tau_t, z))
         assert triples.shape == (per_base, 3)
@@ -339,13 +361,16 @@ def test_threads_deterministic(name):
 # green's Gaussian replicates moved from a dense X to the reduced factor, and
 # decoupling bases to the (M - 1)-row factor with ten rows a base: new draws of
 # the same law again.  The null-reference mean, a constant population, is unchanged.
+# Every ci was re-recorded when the bootstrap gave way to the closed-form standard
+# error, and the decoupling report when each base came to read 50 rows from one
+# stream; no other value moved.
 _PINNED_REPORTS = {
-    "optical": (0.000767014642152631, 0.038249510381815885, 0.002026607510245958),
-    "cancellation": (0.0026342751165514605, 0.5052076249421034, 0.006305024335550474),
-    "decoupling": (0.0001429740920702023, 0.01012828475411128, 0.0007311218535218216),
+    "optical": (0.000767014642152631, 0.038249510381815885, 0.003302106392473953),
+    "cancellation": (0.0026342751165514605, 0.5052076249421034, 0.010339241072154974),
+    "decoupling": (0.001880921890121409, 0.010182068047919402, 0.0009177927416519232),
 }
 _PINNED_COMPARISON = (0.7405808935868902, 0.7424211815389078, -0.0018402879520176274,
-                      0.042007108464279956)
+                      0.04648770826265204)
 
 
 def test_stream_layout_pinned():
@@ -357,6 +382,34 @@ def test_stream_layout_pinned():
         assert (report.residual, report.leading, report.ci) == pytest.approx(
             _PINNED_REPORTS[name], rel=1e-9), name
     assert _compare_window(80, 120, 13, 1) == pytest.approx(_PINNED_COMPARISON, rel=1e-9)
+
+
+def test_decoupling_opens_two_streams_per_base(monkeypatch):
+    # a frozen base's spectrum and its resampled rows: one stream each
+    keys = []
+
+    def recording_rng(seed, index):
+        keys.append((seed, index))
+        return replicate_rng(seed, index)
+
+    monkeypatch.setattr(ensemble, "replicate_rng", recording_rng)
+    monkeypatch.setattr(green, "replicate_rng", recording_rng)
+    for state in (_twopoint_state(40), ek.flow_state(ek.identity_spectrum(40, 40), 0.0)):
+        keys.clear()
+        ek.decoupling_residual(state, reps=120, seed=3)
+        bases = range(12)
+        assert sorted(keys) == sorted([(3, ensemble.BASE_STREAM + b) for b in bases]
+                                      + [(3, b << 32) for b in bases])
+
+
+def test_optical_error_calibrated():
+    # over 300 seeds of a small identity check, the spread of the estimate matches its
+    # error bar: for an unbiased complex Gaussian mean, rms(residual) / worst-direction
+    # ci lies in [1, sqrt(2)]; the band leaves room for the spread over 300 seeds
+    state = ek.flow_state(ek.identity_spectrum(20, 20), 0.0)
+    reports = [ek.flow_checks(state, reps=100, seed=seed)[0] for seed in range(1000, 1300)]
+    rms = np.sqrt(np.mean([r.residual ** 2 for r in reports]))
+    assert 0.9 <= rms / np.median([r.ci for r in reports]) <= 1.6
 
 
 def test_comparison_functional_identity_null():
@@ -377,7 +430,7 @@ def test_compare_seeds_share_no_draw(monkeypatch):
         keys[run].add((seed, index))
         return replicate_rng(seed, index)
 
-    # the Laguerre draws happen in ensemble, the bootstrap in green
+    # the Laguerre draws happen in ensemble; green opens no stream of its own here
     monkeypatch.setattr(ensemble, "replicate_rng", recording_rng)
     monkeypatch.setattr(green, "replicate_rng", recording_rng)
     spec = ek.identity_spectrum(60, 60)
@@ -386,7 +439,7 @@ def test_compare_seeds_share_no_draw(monkeypatch):
     for run in (9, 10):
         keys[run] = set()
         results[run] = ek.comparison_functional(spec, -w, w, reps=40, seed=run)
-    assert len(keys[9]) == len(keys[10]) == 81  # 2 x 40 draws and the bootstrap
+    assert len(keys[9]) == len(keys[10]) == 80  # 2 x 40 draws
     assert not keys[9] & keys[10]
     assert results[9][1] != results[10][0]  # mean_W at seed 9, mean_Q at seed 10
 
@@ -428,6 +481,13 @@ def test_comparison_functional_window_enforced():
     spec = ek.identity_spectrum(100, 100)
     with pytest.raises(DomainRejectionError):
         ek.comparison_functional(spec, -0.5, 0.5, reps=10, seed=1)
+
+
+def test_one_draw_has_no_error_bar():
+    # one replicate carries no estimate of its own spread: ci is infinite, and the
+    # verdict cannot be resolved
+    optical = ek.optical_residual(_twopoint_state(40), reps=1, seed=3)
+    assert optical.ci == float("inf") and optical.status == "INCONCLUSIVE"
 
 
 def test_report_json_schema():
