@@ -7,6 +7,10 @@ reproduces the run.
 
 Exit codes: 0 ok, 1 usage, 2 domain rejection, 3 convergence failure,
 4 verification FAIL.
+
+Each command imports the modules it runs when it runs, and parsing loads no
+numpy: `density` loads only population and stieltjes, `tw-table` only
+tracy_widom.
 """
 
 from __future__ import annotations
@@ -17,16 +21,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import detect as detect_mod
-from . import green
-from .ensemble import ENTRY_KINDS, EnsembleConfig, EntryDistribution, ks_statistic, run_monte_carlo
+from .defaults import DEFAULT_EPS, ENTRY_KINDS, SUBCRITICAL_MARGIN_DEFAULT
 from .errors import ConvergenceError, DomainRejectionError
-from .flow import coefficient_identities_check, flow_state, zdot_check
-from .population import SUBCRITICAL_MARGIN_DEFAULT, edge_params, load_spectrum
-from .stieltjes import density
-from .tracy_widom import cached_tw_table
 
 EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_CONVERGENCE, EXIT_VERIFY = 0, 1, 2, 3, 4
 
@@ -56,6 +52,8 @@ def _manifest_params(args, skip=("func", "command", "out", "threads")) -> dict:
 
 
 def cmd_edge(args) -> int:
+    from .population import edge_params, load_spectrum
+
     spec = load_spectrum(args.spectrum)
     params = edge_params(spec, tol=args.tol)
     payload = dict(params.as_dict(), M=spec.M, N=spec.N, d=spec.d,
@@ -72,6 +70,11 @@ def cmd_edge(args) -> int:
 
 
 def cmd_density(args) -> int:
+    import numpy as np
+
+    from .population import load_spectrum
+    from .stieltjes import density
+
     spec = load_spectrum(args.spectrum)
     grid = np.linspace(args.emin, args.emax, args.points)
     curve = density(spec, grid, eta0=args.eta0)
@@ -88,6 +91,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_tw_table(args) -> int:
+    from .tracy_widom import cached_tw_table
+
     table = cached_tw_table(args.smin, args.smax, args.step)
     out = _outdir(args)
     table.to_csv(out / "tw_table.csv")
@@ -97,6 +102,12 @@ def cmd_tw_table(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .ensemble import EnsembleConfig, EntryDistribution, ks_statistic, run_monte_carlo
+    from .population import load_spectrum
+    from .tracy_widom import cached_tw_table
+
     spec = load_spectrum(args.spectrum)
     config = EnsembleConfig(spec, entries=EntryDistribution(kind=args.entries),
                             replicates=args.reps, k=args.k, seed=args.seed)
@@ -127,7 +138,7 @@ def _check_key(index: int, item) -> tuple:
                                    f"and a 'spectrum' string, got {json.dumps(item)}")
     try:
         key = (item["spectrum"], float(item.get("t", 0.0)), int(item.get("reps", 2000)),
-               int(item.get("seed", 0)), float(item.get("eta_exp", green.DEFAULT_EPS)))
+               int(item.get("seed", 0)), float(item.get("eta_exp", DEFAULT_EPS)))
     except (TypeError, ValueError) as exc:
         raise DomainRejectionError(f"{where}: t, reps, seed and eta_exp must be numbers ({exc})") from None
     if key[2] < 1:
@@ -135,7 +146,11 @@ def _check_key(index: int, item) -> tuple:
     return key
 
 
-def _run_one_check(kind: str, key: tuple, threads: int) -> green.CheckReport:
+def _run_one_check(kind: str, key: tuple, threads: int):
+    from . import green
+    from .flow import coefficient_identities_check, flow_state, zdot_check
+    from .population import load_spectrum
+
     spectrum, t, reps, seed, eps = key
     spec = load_spectrum(spectrum)
     state = flow_state(spec, t)
@@ -151,6 +166,10 @@ def _run_one_check(kind: str, key: tuple, threads: int) -> green.CheckReport:
 
 
 def cmd_flow_verify(args) -> int:
+    from . import green
+    from .flow import flow_state
+    from .population import load_spectrum
+
     items = json.loads(Path(args.manifest).read_text())
     if not isinstance(items, list):
         raise DomainRejectionError("check manifest must be a JSON list")
@@ -183,6 +202,9 @@ def cmd_flow_verify(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import detect as detect_mod
+    from .population import load_spectrum
+
     spec = load_spectrum(args.spectrum)
     table_N = args.table_N if args.table_N is not None else spec.N
     table = detect_mod.calibrate_null(table_N, args.null_reps, args.table_seed)
@@ -198,6 +220,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import green
+    from .population import load_spectrum
+
     spec = load_spectrum(args.spectrum)
     window = green.edge_window(spec.N, args.eta_exp)[0]
     e1 = args.E1 if args.E1 is not None else -0.5 * window
@@ -291,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--E1", type=float, default=None)
     p.add_argument("--E2", type=float, default=None)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--eta-exp", type=float, default=green.DEFAULT_EPS)
+    p.add_argument("--eta-exp", type=float, default=DEFAULT_EPS)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 

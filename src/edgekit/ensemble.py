@@ -57,10 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import ENTRY_KINDS
 from .errors import ConvergenceError, DomainRejectionError
 from .population import EdgeParams, PopulationSpectrum, edge_params
-
-ENTRY_KINDS = ("gaussian", "rademacher", "skewed-two-point")
 
 # the stream indices of the table above
 NULL_STREAM = 2 ** 62
@@ -469,11 +468,32 @@ def gaussian_factor(spec: PopulationSpectrum, seed: int, index: int,
     The draw order: the normals row by row, left to right, then the chi-square
     variates of the diagonal, rows ascending, then those below it, rows
     ascending.  The top min(M, N) rows form a lower triangle.  Without out, F
-    goes into the workspace array "factor".
+    goes into the workspace array "factor".  Where each variate goes, and its
+    row's scale, is worked out once per spectrum in a process (`_factor_layout`);
+    a replicate scales only the variates it draws and places them.
     """
-    M, N = spec.M, spec.N
+    positions, scale, dof = _factor_layout(spec.M, spec.N, spec.eigenvalues.tobytes())
+    F = workspace("factor", (spec.M, min(spec.M, spec.N))) if out is None else out
+    rng = replicate_rng(seed, index)
+    variates = workspace("variates", positions.shape)
+    normals = positions.size - dof.size
+    rng.standard_normal(out=variates[:normals])
+    variates[normals:] = np.sqrt(rng.chisquare(dof))
+    variates *= scale
+    F.fill(0.0)
+    F.reshape(-1)[positions] = variates
+    return F
+
+
+@functools.lru_cache(maxsize=8)
+def _factor_layout(M: int, N: int, eigenvalues: bytes) -> tuple:
+    """Where `gaussian_factor` puts the variates of one spectrum's factor, shared
+    by all its replicates: (the flat index in F of each variate, in draw order;
+    sqrt(sigma_r / N) of its row r; the chi-square degrees of freedom, in order).
+    The arrays are read-only.
+    """
     n = min(M, N)
-    s = np.sort(spec.eigenvalues)[::-1]
+    s = np.sort(np.frombuffer(eigenvalues))[::-1]
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     lengths = np.diff(np.r_[starts, M])
     c = np.repeat(starts, lengths)
@@ -481,17 +501,12 @@ def gaussian_factor(spec: PopulationSpectrum, seed: int, index: int,
     heads = np.minimum(c, n)  # how many normals each row holds
     below = np.arange(1, min(M, N + 1))
     below = below[c[below] < below]  # the rows with a variate at (r, r - 1)
-    F = workspace("factor", (M, n)) if out is None else out
-    rng = replicate_rng(seed, index)
-    normals = rng.standard_normal(out=workspace("normals", (int(heads.sum()),)))
-    chi = np.sqrt(rng.chisquare(np.r_[N - np.arange(n), e[below] - below]))
-    F.fill(0.0)
-    F[np.arange(n) < heads[:, None]] = normals
-    flat = F.reshape(-1)
-    flat[:n * (n + 1):n + 1] = chi[:n]
-    flat[below * (n + 1) - 1] = chi[n:]
-    F *= np.sqrt(s / N)[:, None]
-    return F
+    positions = np.r_[np.flatnonzero(np.arange(n) < heads[:, None]),  # row by row
+                      np.arange(n) * (n + 1), below * (n + 1) - 1]
+    layout = positions, np.sqrt(s / N)[positions // n], np.r_[N - np.arange(n), e[below] - below]
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
 def factor_gram(F: np.ndarray) -> np.ndarray:

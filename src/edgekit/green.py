@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_EPS
 from .ensemble import (BASE_STREAM, NULL_STREAM, gaussian_spectrum, gaussian_tridiagonals,
                        map_replicates, replicate_rng)
 from .errors import ConvergenceError, DomainRejectionError
@@ -55,7 +56,6 @@ from .flow import FlowState, flow_state
 from .population import PopulationSpectrum, identity_spectrum
 from .stieltjes import solve_mfc
 
-DEFAULT_EPS = 0.05
 _ROWS_PER_BASE = 50  # resampled rows of each frozen decoupling base (see decoupling_residual)
 _QUAD_NODES = 15  # Gauss-Legendre nodes of the comparison functional's energy integral
 _BLOCK = 64  # replicates per job of the flow checks' and the comparison's dense draws

@@ -22,10 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .defaults import SUBCRITICAL_MARGIN_DEFAULT
 from .errors import ConvergenceError, DomainRejectionError
 
 DEFAULT_TOL = 1e-12
-SUBCRITICAL_MARGIN_DEFAULT = 1e-6
 _BISECT_TARGET = 1e-3
 _NEWTON_CAP = 200
 

@@ -18,6 +18,9 @@ is solved to the requested tolerance on the relative residual
 |m - RHS(m)| / |m|.  Steps are kept in Im u <= 0, i.e. Im m >= 0; f has
 exactly one root there when Im z > 0, so the Herglotz branch is the only one
 Newton can reach.
+
+The evaluator of f and f' sums over sigma in cache-sized column blocks of the
+batch (`_evaluator`), so memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ _NEWTON_STEPS = 100  # per eta rung
 _HALVINGS = 40       # step halvings per Newton step
 _RUNG_TOL = 1e-3     # residual at which an intermediate eta rung hands over
 _EPS = np.finfo(float).eps
+_BLOCK_BYTES = 256 * 1024  # the evaluator's reciprocal array per column block
 _PROBE_WINDOW = (1e-4, 1e-2)  # edge_exponent_probe: the span of E_plus - E,
 _PROBE_POINTS = 24            # its geometric grid size,
 _PROBE_ETA0 = 1e-8            # and the eta0 of its density
@@ -63,18 +67,29 @@ class DensityCurve:
 
 
 def _evaluator(spec: PopulationSpectrum):
-    """evaluate(u, z) -> (f, f') for f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z."""
+    """evaluate(u, z) -> (f, f') for f(u) = -u + (u/d) sum_j w_j sigma_j / (sigma_j + u) - z.
+
+    The sums over sigma run on column blocks of the batch, each an M x width
+    reciprocal array of about _BLOCK_BYTES that stays in cache, so memory does
+    not grow with the batch.  width is a multiple of 8 and the last block takes
+    the batch's remainder (up to 2 width columns): every column then sits where
+    it would in one unblocked product, and BLAS rounds its sums alike.
+    """
     sigma = spec._values[:, None]
     w_sigma = spec._weights * spec._values
     w_sigma2 = w_sigma * spec._values
+    width = max(8, _BLOCK_BYTES // (16 * sigma.size) // 8 * 8)
 
     def evaluate(u, z):
-        # one M x n reciprocal array per evaluation, squared in place for f'
+        s1, s2 = np.empty_like(u), np.empty_like(u)
+        bounds = [0, *range(width, u.size - width, width), u.size]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv = 1.0 / (sigma + u[None, :])
-            s1 = w_sigma @ inv
-            inv *= inv
-            s2 = w_sigma2 @ inv
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                # one reciprocal array per block, squared in place for f'
+                inv = 1.0 / (sigma + u[None, a:b])
+                s1[a:b] = w_sigma @ inv
+                inv *= inv
+                s2[a:b] = w_sigma2 @ inv
             return u * (s1 / spec.d - 1.0) - z, s2 / spec.d - 1.0
 
     return evaluate

@@ -759,6 +759,15 @@ def test_factor_gram_is_exact(shape):
     assert np.shares_memory(ensemble.factor_gram(F), F)
 
 
+def test_factor_layout_is_per_spectrum():
+    # the layout is worked out once per spectrum: factors of two spectra of one shape,
+    # drawn in turn, are each the documented draw of their own spectrum
+    spectra = ek.two_point_spectrum(1.0, 2.0, 0.5, 9, 9), ek.uniform_spectrum(0.5, 2.0, 9, 9)
+    for spec in spectra + spectra:
+        F = ensemble.gaussian_factor(spec, 8, 3, out=np.full((9, 9), np.nan))
+        assert np.array_equal(F, reduced_factor(spec.eigenvalues, 9, 8, 3))
+
+
 def test_goe_vs_f1(tw_reference):
     samples = ek.sample_goe_top(200, 1, 500, seed=9)
     report = ek.ks_statistic(np.sort(samples.column(0)), tw_reference.grid, tw_reference.F1)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import edgekit as ek
+from edgekit import ensemble, stieltjes
 from edgekit.errors import ConvergenceError, DomainRejectionError
 
 from oracles import mp_quadratic_roots, two_point_cubic_root
@@ -208,3 +211,41 @@ def test_herglotz_everywhere(twopoint200):
     wts = twopoint200._weights[:, None]
     rhs = 1.0 / (-z + np.sum(wts * vals / (vals * m[None, :] + 1.0), axis=0) / twopoint200.d)
     assert np.max(np.abs(m - rhs) / np.maximum(1.0, np.abs(m))) <= 1e-12
+
+
+def _one_product(spec, u, z):
+    """The evaluator without column blocks: one M x n reciprocal array."""
+    w_sigma = spec._weights * spec._values
+    inv = 1.0 / (spec._values[:, None] + u[None, :])
+    s1 = w_sigma @ inv
+    inv *= inv
+    s2 = (w_sigma * spec._values) @ inv
+    return u * (s1 / spec.d - 1.0) - z, s2 / spec.d - 1.0
+
+
+@pytest.mark.parametrize("M, n", [(1000, 500), (1000, 113), (3000, 1001), (57, 1234), (1, 20000)])
+def test_blocked_evaluator_matches_one_product(M, n):
+    # the column blocks change no bit, with BLAS on one thread on both sides; at M=1000
+    # a block is 16 columns, so n=113 ends in a remainder the last block must take
+    spec = ek.uniform_spectrum(0.5, 2.0, M, M)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) - 1j * rng.random(n)
+    z = rng.standard_normal(n) + 1j * rng.random(n)
+    with ensemble._one_blas_thread():
+        got = stieltjes._evaluator(spec)(u, z)
+        want = _one_product(spec, u, z)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_density_memory_does_not_grow_with_the_grid():
+    # 4000 points on 1000 distinct sigma: one M x n reciprocal array would take 64 MB,
+    # the evaluator's column blocks a fraction of one
+    spec = ek.uniform_spectrum(0.5, 2.0, 1000, 1000)
+    tracemalloc.start()
+    try:
+        curve = ek.density(spec, np.linspace(0.0, 8.0, 4000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(curve.rho).any()
+    assert peak <= 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
