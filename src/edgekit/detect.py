@@ -68,9 +68,10 @@ def observed_top3(spec: PopulationSpectrum, seed: int) -> np.ndarray:
     (seed, OBSERVED_STREAM), which no null table reads.
 
     The draw is `ensemble.covariance_replicate` at k = 3, the replicate a
-    simulation reads: the Gram of a reduced factor, solved for its top 3 alone,
-    with no scipy loaded.  It runs as one job of `map_replicates`, under the
-    BLAS pin.
+    simulation reads: the tridiagonal of a reduced factor's Gram (drawn
+    directly for a constant population), whose top 3 alone LAPACK's dstebz
+    bisects, with no scipy loaded.  It runs as one job of `map_replicates`,
+    under the BLAS pin.
     """
     config = EnsembleConfig(spec, replicates=1, k=3, seed=seed)  # rejects min(M, N) < 3
     return map_replicates(_observed_draw, [config], 1)[0]

@@ -2,14 +2,15 @@
 
 It draws and eigensolves; resolvents of Q, the local-law probe's too, live in `green`.
 Every replicate's matrix is built here.  A Gaussian replicate is the reduced
-triangular factor F of `gaussian_factor`, read in one of two ways:
-`covariance_replicate` solves its Gram (by `factor_gram`) for the top k, for
-`simulate` and `detect`; `gaussian_tridiagonals` draws the Gram F^T F in
-tridiagonal form (a constant population's directly, any other's by dsytrd of
-`factor_gram`), whose pivots give the flow checks' and `compare`'s traces, and
-whose full spectrum by dsterf (`gaussian_spectrum`) is a decoupling base's.
-Other entry laws draw X, and `top_eigenvalues` solves the Gram of Sigma^{1/2} X.
-LAPACK (dsytrd, dsterf, dlauum, dsyevr) and dsyrk come from numpy's own OpenBLAS
+triangular factor F of `gaussian_factor`, read one way: `gaussian_tridiagonals`
+draws the Gram F^T F in tridiagonal form (a constant population's directly, any
+other's by dsytrd of `factor_gram`), and every reader takes that matrix.
+`covariance_replicate` takes its top k by dstebz bisection, for `simulate` and
+`detect`; the flow checks and `compare` read traces off its pivots; and
+`gaussian_spectrum` takes its full spectrum by dsterf, for a decoupling base.
+Other entry laws draw X, and `top_eigenvalues` reduces the Gram of
+Sigma^{1/2} X by dsytrd and takes its top k by dstebz.
+LAPACK (dsytrd, dsterf, dlauum, dstebz) and dsyrk come from numpy's own OpenBLAS
 through ctypes, found on first use, so no replicate loads scipy; where that
 library lacks them, from scipy.linalg (`_lapack`).
 
@@ -159,7 +160,7 @@ def _attributed(worker, indexed_job):
         return worker(job)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         name = getattr(worker, "job_name", "replicate")
-        if name is None:  # a job of several replicates names the one that failed
+        if name is None or str(exc).startswith(f"{name} {index}:"):  # the job named itself
             raise
         raise ConvergenceError(f"{name} {index}: {exc}") from exc
 
@@ -229,27 +230,28 @@ def _order(A: np.ndarray) -> int:
 
 
 class _OpenblasLapack:
-    """LAPACK's dsytrd, dsterf, dlauum and dsyevr (through LAPACKE) and BLAS's dsyrk (through
+    """LAPACK's dsytrd, dsterf, dlauum and dstebz (through LAPACKE) and BLAS's dsyrk (through
     CBLAS) of numpy's OpenBLAS, whose integers are 64-bit, called by ctypes.  Each
     routine takes Fortran-ordered matrices and works in place."""
 
     SYMBOLS = ("scipy_LAPACKE_dsytrd64_", "scipy_LAPACKE_dsterf64_", "scipy_LAPACKE_dlauum64_",
-               "scipy_LAPACKE_dsyevr64_", "scipy_cblas_dsyrk64_")
+               "scipy_LAPACKE_dstebz64_", "scipy_cblas_dsyrk64_")
 
     def __init__(self, lib):
         matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
         vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
         index = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
         i64, char, enum, real = ctypes.c_int64, ctypes.c_char, ctypes.c_int, ctypes.c_double
+        count = ctypes.POINTER(i64)
         signatures = (
             [enum, char, i64, matrix, i64, vector, vector, vector],
             [i64, vector, vector],
             [enum, char, i64, matrix, i64],
-            [enum, char, char, char, i64, matrix, i64, real, real, i64, i64, real,
-             ctypes.POINTER(i64), vector, vector, i64, index],
+            [char, char, i64, real, real, i64, i64, real, vector, vector, count, count, vector,
+             index, index],
             [enum, enum, enum, i64, i64, real, matrix, i64, real, matrix, i64])
         routines = [getattr(lib, name) for name in self.SYMBOLS]
-        self._sytrd, self._sterf, self._lauum, self._syevr, self._syrk = routines
+        self._sytrd, self._sterf, self._lauum, self._stebz, self._syrk = routines
         for fn, argtypes in zip(routines, signatures):
             fn.argtypes, fn.restype = argtypes, i64
         self._syrk.restype = None
@@ -282,13 +284,18 @@ class _OpenblasLapack:
             raise ValueError(f"dsyrk of a {B.shape} matrix into {C.shape}")
         self._syrk(_COLUMN_MAJOR, _UPPER, _NO_TRANSPOSE, n, k, 1.0, B, n, 1.0, C, n)
 
-    def syevr_top(self, A, k, lower):
-        """The k largest eigenvalues of A, ascending, read from its lower or upper triangle."""
-        n = _order(A)
-        w, found = np.empty(n), ctypes.c_int64()
-        info = self._syevr(_COLUMN_MAJOR, b"N", b"I", b"L" if lower else b"U", n, A, n, 0.0, 1.0,
-                           n - k + 1, n, 0.0, found, w, np.empty(1), 1, np.empty(2 * n, np.int64))
-        _check_info("dsyevr", info)
+    def stebz_top(self, d, e, k):
+        """The k largest eigenvalues, ascending, of the symmetric tridiagonal with diagonal
+        d and off-diagonal e, which are left unchanged: dstebz over the index range
+        n - k + 1 .. n, ordered over the whole matrix, at absolute tolerance 0, as
+        dsyevr asks it for an eigenvalue subset."""
+        n = d.size
+        if e.shape != (n - 1,):
+            raise ValueError(f"dstebz of a diagonal {d.shape} with off-diagonal {e.shape}")
+        w, found, blocks = np.empty(n), ctypes.c_int64(), ctypes.c_int64()
+        info = self._stebz(b"I", b"E", n, 0.0, 1.0, n - k + 1, n, 0.0, d, e, found, blocks, w,
+                           np.empty(n, np.int64), np.empty(n, np.int64))
+        _check_info("dstebz", info)
         return w[:k]
 
 
@@ -316,13 +323,11 @@ class _ScipyLapack:
     def syrk(self, C, B):
         self._blas.dsyrk(1.0, B, beta=1.0, c=C, overwrite_c=1)
 
-    def syevr_top(self, A, k, lower):
-        n = A.shape[0]
-        lwork, liwork, _ = self._lapack.dsyevr_lwork(n, lower=lower)
-        w, _, _, _, info = self._lapack.dsyevr(A, compute_v=0, range="I", lower=lower,
-                                               il=n - k + 1, iu=n, lwork=int(lwork),
-                                               liwork=liwork, overwrite_a=1)
-        _check_info("dsyevr", info)
+    def stebz_top(self, d, e, k):
+        n = d.size
+        e = e if n > 1 else np.zeros(1)  # scipy sizes e as max(n - 1, 1)
+        _, w, _, _, info = self._lapack.dstebz(d, e, 2, 0.0, 1.0, n - k + 1, n, 0.0, "E")  # 2: "I"
+        _check_info("dstebz", info)
         return w[:k]
 
 
@@ -378,7 +383,8 @@ def map_replicates(worker, jobs: list, threads: int) -> list:
     either path, or with worker.job_name in place of "replicate" when a job
     is not one replicate; a worker whose job_name is None runs several
     replicates a job, and its own error, which names the replicate, is raised
-    as it is.  Every job runs with BLAS on one thread, so its cost
+    as it is, as is an error that already names its job (a failed dsytrd in
+    `gaussian_tridiagonals` names the replicate).  Every job runs with BLAS on one thread, so its cost
     and its rounding do not depend on OPENBLAS_NUM_THREADS; forked workers
     inherit that setting.  Jobs reuse the arrays `workspace` hands out, each
     process its own, until the call returns or raises; then they are released.
@@ -411,9 +417,10 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
     """Top k eigenvalues of X^* Sigma X (Sigma diagonal = spectrum eigenvalues).
 
     Works with whichever of the M x M / N x N Grams is smaller; both share the
-    nonzero spectrum, and solves for its top k alone (LAPACK dsyevr, the MRRR
-    algorithm of Dhillon & Parlett 2004).  X is left unchanged.  The Gram and
-    the solve run with every OpenBLAS on one thread, whatever the caller set.
+    nonzero spectrum.  The Gram goes to tridiagonal form by `_gram_tridiagonal`
+    and its top k alone come from `_top_k`, the two stages of LAPACK's dsyevr
+    for an eigenvalue subset.  X is left unchanged.  The Gram and the solve run
+    with every OpenBLAS on one thread, whatever the caller set.
     """
     M, N = X.shape
     sig = spectrum.eigenvalues
@@ -426,24 +433,32 @@ def top_eigenvalues(X: np.ndarray, spectrum: PopulationSpectrum, k: int) -> np.n
     n = min(M, N)
     with _lapack_on_one_blas_thread():
         # numpy forms the Gram by BLAS syrk, so it is exactly symmetric; LAPACK reads one
-        # triangle of a Fortran-ordered matrix, so A.T is that matrix and is solved in place
+        # triangle of a Fortran-ordered matrix, so A.T is that matrix and is reduced in place
         A = np.matmul(narrow.T, narrow, out=workspace("gram", (n, n)))
-        return _solve_top(A.T, k, True, lambda: narrow.T @ narrow)
+        return _top_k(*_gram_tridiagonal(A.T), k)
 
 
-def _solve_top(A: np.ndarray, k: int, lower: bool, full) -> np.ndarray:
-    """Top k eigenvalues, descending, of the symmetric Fortran-ordered A, read from its
-    lower or upper triangle and solved in place by dsyevr (the MRRR
-    algorithm of Dhillon & Parlett 2004).  Should LAPACK fail, full() forms the
-    whole matrix afresh, since the solve may have overwritten A, for the message.
+def _gram_tridiagonal(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of the symmetric tridiagonal that LAPACK's dsytrd reduces the Fortran-ordered
+    Gram A to, read from its upper triangle, which it overwrites.  The reduction is
+    orthogonal (Householder reflections), so the tridiagonal keeps A's spectrum, its
+    Frobenius norm and its trace."""
+    return _lapack().sytrd(A)
+
+
+def _top_k(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Top k eigenvalues, descending, of the symmetric tridiagonal T with diagonal d and
+    off-diagonal e: bisection by LAPACK's dstebz (Kahan 1966), which is how dsyevr
+    solves for an eigenvalue subset, leaving d and e unchanged.  Should LAPACK fail,
+    the message gives ||T||_F and trace(T), which are those of the Gram that T is
+    the tridiagonal of.
     """
     try:
-        vals = _lapack().syevr_top(A, k, lower)
+        vals = _lapack().stebz_top(d, e, k)
     except np.linalg.LinAlgError as exc:
-        A = full()
         raise ConvergenceError(
-            f"symmetric eigensolver failed: {exc}; ||A||_F={np.linalg.norm(A):.3e}, "
-            f"trace={np.trace(A):.3e}") from exc
+            f"symmetric eigensolver failed: {exc}; ||A||_F={np.sqrt(d @ d + 2.0 * (e @ e)):.3e}, "
+            f"trace={d.sum():.3e}") from exc
     return vals[::-1].copy()
 
 
@@ -534,22 +549,21 @@ def rescale_edge(mus: np.ndarray, edge: EdgeParams, N: int) -> np.ndarray:
 def covariance_replicate(args):
     """Top config.k eigenvalues of replicate rep of config, for args = (config, rep).
 
-    Gaussian entries draw the factor of `gaussian_factor`; other entry laws draw
-    the data matrix X.  Either way the solve runs with every OpenBLAS on one
-    thread.
+    Gaussian entries read the replicate's tridiagonal from `gaussian_tridiagonals`:
+    a constant population's Laguerre tridiagonal, drawn with no dense matrix, or
+    dsytrd's of its factor's Gram.  Other entry laws draw the data matrix X for
+    `top_eigenvalues`.  Either way the top k come from `_top_k`, with every
+    OpenBLAS on one thread.
     """
     config, rep = args
     spec = config.spectrum
     if config.entries.kind != "gaussian":
         X = sample_data_matrix(config, rep, out=workspace("X", (spec.M, spec.N)))
         return top_eigenvalues(X, spec, config.k)
-
-    def full():  # this replicate's Gram, from its factor drawn afresh
-        F = gaussian_factor(spec, config.seed, rep, out=np.empty((spec.M, min(spec.M, spec.N))))
-        return F.T @ F
-
+    n = min(spec.M, spec.N)
+    d, e = gaussian_tridiagonals(spec, config.seed, [rep])
     with _lapack_on_one_blas_thread():
-        return _solve_top(factor_gram(gaussian_factor(spec, config.seed, rep)), config.k, False, full)
+        return _top_k(d[:n, 0], e[:n - 1, 0], config.k)
 
 
 def run_monte_carlo(config: EnsembleConfig, threads: int = 1,
@@ -615,7 +629,7 @@ def gaussian_tridiagonals(spec: PopulationSpectrum, seed: int,
         for r, index in enumerate(indices):
             try:
                 A = factor_gram(gaussian_factor(spec, seed, index))
-                d[:n, r], e[:n - 1, r] = _lapack().sytrd(A)
+                d[:n, r], e[:n - 1, r] = _gram_tridiagonal(A)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"replicate {index}: {exc}") from exc
     return d, e

@@ -143,15 +143,16 @@ def test_density_names_failed_points(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_byte_identical_across_threads(tmp_path):
+    # a dense population's replicates and a constant one's (Laguerre tridiagonals)
     cwd = tmp_path
-    base = ["simulate", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=120,N=120",
-            "--reps", "40", "--k", "2", "--seed", "7"]
-    for out, threads in (("s1", "1"), ("s2", "2"), ("s3", "1")):
-        proc = run_cli(base + ["--threads", threads, "--out", out], cwd)
-        assert proc.returncode == 0, proc.stderr
-    b1 = (cwd / "s1" / "samples.csv").read_bytes()
-    assert b1 == (cwd / "s2" / "samples.csv").read_bytes()
-    assert b1 == (cwd / "s3" / "samples.csv").read_bytes()
+    for spectrum in ("twopoint:a=1,b=2,w=0.5,M=120,N=120", "identity:M=120,N=100"):
+        base = ["simulate", "--spectrum", spectrum, "--reps", "40", "--k", "2", "--seed", "7"]
+        for out, threads in (("s1", "1"), ("s2", "2"), ("s3", "1")):
+            proc = run_cli(base + ["--threads", threads, "--out", out], cwd)
+            assert proc.returncode == 0, proc.stderr
+        b1 = (cwd / "s1" / "samples.csv").read_bytes()
+        assert b1 == (cwd / "s2" / "samples.csv").read_bytes()
+        assert b1 == (cwd / "s3" / "samples.csv").read_bytes()
 
 
 def test_simulate_byte_identical_across_blas_threads(tmp_path):
@@ -216,7 +217,8 @@ def test_flow_verify_manifest(tmp_path):
 
 class _FailingLapack:
     """The routines of ensemble._lapack(), with `routine` failing on its call number `at`
-    (0-based) of this process, as LAPACK does: its input destroyed and info != 0."""
+    (0-based) of this process, as LAPACK does: info != 0, and the input destroyed where
+    the routine overwrites it (dstebz only reads its d and e)."""
 
     def __init__(self, routine, at):
         self.lapack, self.routine, self.at, self.calls = edgekit.ensemble._lapack(), routine, at, 0
@@ -226,12 +228,13 @@ class _FailingLapack:
         if name != self.routine:
             return real
 
-        def failing(A, *args):
+        def failing(*args):
             self.calls += 1
             if self.calls - 1 == self.at:
-                A[...] = np.nan
+                if name != "stebz_top":
+                    args[0][...] = np.nan
                 raise np.linalg.LinAlgError(f"{name} returned info=1")
-            return real(A, *args)
+            return real(*args)
         return failing
 
 
@@ -251,20 +254,35 @@ def test_worker_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, cap
 
 
 def test_subset_eigensolver_failure_exits_convergence(tmp_path, monkeypatch, capsys):
-    # with a failed LAPACK call's input destroyed, the message still describes the Gram
-    failing = _FailingLapack("syevr_top", at=0)
+    # a failed top-k solve names the replicate and describes the Gram of replicate 0 (of
+    # its reduced Gaussian factor) by the norm and trace of its tridiagonal, which dstebz
+    # reads only and orthogonal reduction keeps: a constant population's Laguerre
+    # tridiagonal, and dsytrd's of any other
+    spectra = {"identity:M=20,N=20": edgekit.identity_spectrum(20, 20),
+               "twopoint:a=1,b=2,w=0.5,M=20,N=20": two_point_spectrum(1.0, 2.0, 0.5, 20, 20)}
+    failings = [_FailingLapack("stebz_top", at=0) for _ in spectra]
+    for i, ((arg, spec), failing) in enumerate(zip(spectra.items(), failings)):
+        monkeypatch.setattr(edgekit.ensemble, "_lapack", lambda failing=failing: failing)
+        code = cli.main(["simulate", "--spectrum", arg, "--reps", "5",
+                         "--threads", "1", "--out", str(tmp_path / f"out{i}")])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed: "
+                              "stebz_top returned info=1"), err
+        F = edgekit.ensemble.gaussian_factor(spec, 0, 0)
+        gram = F.T @ F
+        assert f"||A||_F={np.linalg.norm(gram):.3e}, trace={np.trace(gram):.3e}" in err, err
+
+
+def test_simulate_reduction_failure_names_the_replicate_once(tmp_path, monkeypatch, capsys):
+    # a dense replicate's tridiagonal reduction fails: gaussian_tridiagonals names the
+    # replicate, and the engine adds no second name
+    failing = _FailingLapack("sytrd", at=3)
     monkeypatch.setattr(edgekit.ensemble, "_lapack", lambda: failing)
-    code = cli.main(["simulate", "--spectrum", "identity:M=20,N=20", "--reps", "5",
+    code = cli.main(["simulate", "--spectrum", "twopoint:a=1,b=2,w=0.5,M=20,N=20", "--reps", "5",
                      "--threads", "1", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONVERGENCE
-    err = capsys.readouterr().err
-    assert err.startswith("convergence failure: replicate 0: symmetric eigensolver failed: "
-                          "syevr_top returned info=1"), err
-    # the message describes the Gram of replicate 0 (of its reduced Gaussian factor),
-    # not what the eigensolver left of it
-    F = edgekit.ensemble.gaussian_factor(edgekit.identity_spectrum(20, 20), 0, 0)
-    gram = F.T @ F
-    assert f"||A||_F={np.linalg.norm(gram):.3e}, trace={np.trace(gram):.3e}" in err, err
+    assert capsys.readouterr().err == "convergence failure: replicate 3: sytrd returned info=1\n"
 
 
 def test_decoupling_failure_names_its_base(tmp_path, monkeypatch, capsys):
@@ -400,11 +418,12 @@ def test_detect_dense_draw_runs_on_one_blas_thread(tmp_path):
         "    print('unfound'); raise SystemExit",
         "get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]",
         "set_(2)",
-        "seen, real = [], ensemble._solve_top",
-        "def reading(*args, **kwargs):",
+        "lapack = type(ensemble._lapack())",
+        "seen, real = [], lapack.stebz_top",
+        "def reading(*args):",
         "    seen.append(get())",
-        "    return real(*args, **kwargs)",
-        "ensemble._solve_top = reading",
+        "    return real(*args)",
+        "lapack.stebz_top = reading",
         "code = cli.main(['detect', '--spectrum', 'twopoint:a=1,b=2,w=0.5,M=100,N=100',",
         "                 '--null-reps', '1000', '--threads', '1', '--out', 'out'])",
         "print(code, seen, get())"], cwd)
@@ -428,7 +447,7 @@ def test_top_eigenvalues_pins_the_scipy_it_loads(tmp_path):
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
         _HIDE_NUMPY_LAPACK,
         "assert 'scipy.linalg' not in sys.modules",
-        "seen, solve = [], ensemble._solve_top",
+        "seen, solve = [], ensemble._ScipyLapack.stebz_top",
         "def reading(*args):",
         "    with open('/proc/self/maps') as maps:",
         "        paths = {line.split()[-1] for line in maps",
@@ -436,7 +455,7 @@ def test_top_eigenvalues_pins_the_scipy_it_loads(tmp_path):
         "    getters = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads', None) for p in paths]",
         "    seen.extend(get() for get in getters if get is not None)",
         "    return solve(*args)",
-        "ensemble._solve_top = reading",
+        "ensemble._ScipyLapack.stebz_top = reading",
         "spec = ek.identity_spectrum(100, 100)",
         "ek.top_eigenvalues(ek.sample_data_matrix(ek.EnsembleConfig(spec), 0), spec, 1)",
         "print(seen)"], cwd)
@@ -456,7 +475,7 @@ def test_covariance_replicate_pins_the_scipy_it_loads(tmp_path):
         "import ctypes, sys; import edgekit as ek; from edgekit import ensemble",
         _HIDE_NUMPY_LAPACK,
         "assert 'scipy.linalg' not in sys.modules",
-        "seen, solve = [], ensemble._solve_top",
+        "seen, solve = [], ensemble._ScipyLapack.stebz_top",
         "def reading(*args):",
         "    with open('/proc/self/maps') as maps:",
         "        paths = sorted({line.split()[-1] for line in maps",
@@ -469,7 +488,7 @@ def test_covariance_replicate_pins_the_scipy_it_loads(tmp_path):
         "                get.restype = ctypes.c_int",
         "                seen.append((suffix, get()))",
         "    return solve(*args)",
-        "ensemble._solve_top = reading",
+        "ensemble._ScipyLapack.stebz_top = reading",
         "config = ek.EnsembleConfig(ek.identity_spectrum(100, 100), replicates=2)",
         "ensemble.map_replicates(ensemble.covariance_replicate, [(config, 0), (config, 1)], 1)",
         "print(sorted(set(seen)))"], cwd)

@@ -90,8 +90,8 @@ def test_observed_top3_dense_population_unchanged():
 
 @pytest.mark.parametrize("M, N", [(60, 80), (80, 80), (100, 80)], ids=["M<N", "M=N", "M>N"])
 def test_observed_top3_is_the_engine_replicate(M, N):
-    # the observed top 3 are the engine's replicate (seed, 2^63 + 2), which forms the
-    # factor's Gram and solves it by dsyevr, bit for bit
+    # the observed top 3 are the engine's replicate (seed, 2^63 + 2), which reduces the
+    # factor's Gram by dsytrd and bisects its top 3 by dstebz, bit for bit
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
     config = ek.EnsembleConfig(spec, k=3, seed=3)
     engine = ensemble.covariance_replicate((config, 2 ** 63 + 2))

@@ -166,13 +166,14 @@ def test_top_eigenvalues_runs_on_one_blas_thread(monkeypatch):
         pytest.skip("no OpenBLAS is found in /proc/self/maps")
     spec = ek.two_point_spectrum(1.0, 2.0, 0.5, 400, 400)
     X = ek.sample_data_matrix(_config(spec, seed=9), 0)
-    seen, solve = [], ensemble._solve_top
+    lapack = type(ensemble._lapack())
+    seen, solve = [], lapack.stebz_top
 
     def reading(*args):
         seen.append([get() for get, _ in controls])
         return solve(*args)
 
-    monkeypatch.setattr(ensemble, "_solve_top", reading)
+    monkeypatch.setattr(lapack, "stebz_top", reading)
     saved = [get() for get, _ in controls]
     tops = []
     try:
@@ -331,13 +332,20 @@ def test_one_replicate_engine():
 
 def _lapack_outputs():
     """Tridiagonals, full spectra and top eigenvalues of two-point Gaussian replicates at
-    M < N, M = N and M > N (where factor_gram adds a dsyrk), through ensemble._lapack()."""
+    M < N, M = N and M > N (where factor_gram adds a dsyrk), and the top eigenvalues of
+    constant-population and Rademacher replicates and of 1 x 1 Grams, through
+    ensemble._lapack()."""
     out = []
+    rademacher = ek.EntryDistribution(kind="rademacher")
     for M, N in ((40, 50), (50, 50), (60, 50)):
         spec = ek.two_point_spectrum(1.0, 2.0, 0.5, M, N)
         out += [*ensemble.gaussian_tridiagonals(spec, 3, range(3)),
                 np.array([ensemble.gaussian_spectrum(spec, 3, i) for i in range(3)]),
-                ek.run_monte_carlo(_config(spec, k=3, seed=3)).raw]
+                ek.run_monte_carlo(_config(spec, k=3, seed=3)).raw,
+                ek.run_monte_carlo(_config(ek.identity_spectrum(M, N), k=3, seed=3)).raw,
+                ek.run_monte_carlo(_config(spec, entries=rademacher, k=3, seed=3)).raw]
+    for spec in (ek.identity_spectrum(1, 5), ek.two_point_spectrum(1.0, 2.0, 0.5, 6, 1)):  # 1 x 1
+        out.append(ek.run_monte_carlo(_config(spec, seed=3)).raw)
     return out
 
 
@@ -398,10 +406,11 @@ def _functions_containing(token: str) -> set:
     ("[:, None], X", {"ensemble.top_eigenvalues"}),                      # B = Sigma^{1/2} X
     ("dlauum(", {"ensemble._ScipyLapack.lauum"}),                        # F^T F of the factor,
     (".lauum(", {"ensemble.factor_gram"}),                               # on either platform
-    (".sytrd(", {"ensemble.gaussian_tridiagonals"}),                     # dense tridiagonals
-    (".syevr_top(", {"ensemble._solve_top"}),                            # top k of a Gram
+    (".sytrd(", {"ensemble._gram_tridiagonal"}),                         # dense tridiagonals
+    (".stebz_top(", {"ensemble._top_k"}),                                # a tridiagonal's top k
     ("dsterf(", {"ensemble._ScipyLapack.sterf"}),                        # a tridiagonal's
     (".sterf(", {"ensemble.gaussian_spectrum"}),                         # full spectrum
+    ("dstebz(", {"ensemble._ScipyLapack.stebz_top"}),                    # top k, from scipy
 ])
 def test_one_evaluator_per_quantity(token, owners):
     # each quantity is computed in one place, which every caller goes through
@@ -552,6 +561,22 @@ def test_gaussian_spectrum_is_factor_gram_spectrum(population, M, N):
         got = ensemble.gaussian_spectrum(spec, 5, i)
         assert got.shape == (N,) and np.all(np.diff(got) >= 0)
         assert np.max(np.abs(got - want)) <= 1e-13 * want[-1], i
+
+
+@pytest.mark.parametrize("M, N", [(30, 40), (40, 40), (50, 40)], ids=["M<N", "M=N", "M>N"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_identity_monte_carlo_is_factor_gram_top(monkeypatch, M, N, k):
+    # run_monte_carlo on Sigma = I takes each replicate's top k from its Laguerre
+    # tridiagonal, with no dense matrix (no factor, Gram or X from the workspace): the
+    # top k of the Gram of the reduced factor built here entry by entry from the same stream
+    spec = ek.identity_spectrum(M, N)
+    handed = _handing_out(monkeypatch)
+    raw = ek.run_monte_carlo(_config(spec, replicates=4, k=k, seed=5)).raw
+    assert handed == []
+    for r in range(4):
+        F = reduced_factor(spec.eigenvalues, N, 5, r)
+        want = np.linalg.eigvalsh(F.T @ F)[::-1][:k]
+        assert np.max(np.abs(raw[r] - want)) <= 1e-13 * want[0], r
 
 
 def _goe_rows(N, reps, seed):
